@@ -261,6 +261,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         n = args.random[0]
         k = args.random[1] if len(args.random) > 1 else args.samples
         seed = args.random[2] if len(args.random) > 2 else args.seed
+        if k < 1:
+            print(f"error: need at least one random graph, got {k}", file=sys.stderr)
+            return 2
         graphs = [(f"seed={seed + t}", random_pu_graph(n, seed=seed + t)) for t in range(k)]
 
     failures: dict[str, list[str]] = {}

@@ -14,6 +14,7 @@ part in equality.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,16 +45,22 @@ __all__ = [
 
 MAX_VERTICES = 16
 WARN_VERTICES = 12
+_PACKAGE = __name__.rpartition(".")[0] + "."
 
 
 def _check_size(n: int) -> None:
     if n > MAX_VERTICES:
         raise GraphTooLarge(f"{n} vertices exceeds the supported maximum of {MAX_VERTICES}")
-    if n > WARN_VERTICES:
-        warnings.warn(
-            f"{n} vertices: state enumeration is exponential and will be slow",
-            stacklevel=3,
-        )
+
+
+def _outside_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, for a call made from the caller of
+    this function, that names the first frame outside this package."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(_PACKAGE):
+        level += 1
+        frame = frame.f_back
+    return level
 
 
 @dataclass
@@ -137,6 +144,14 @@ class LabeledGraph:
         return inside == (self.signs[v] == 1)
 
     def all_states(self):
+        """Every state as a bitmask.  Above WARN_VERTICES this warns that
+        the enumeration is exponential, naming the calling line outside
+        the package."""
+        if self.n > WARN_VERTICES:
+            warnings.warn(
+                f"{self.n} vertices: state enumeration is exponential and will be slow",
+                stacklevel=_outside_stacklevel(),
+            )
         return range(1 << self.n)
 
 

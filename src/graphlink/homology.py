@@ -2,18 +2,27 @@
 
 Generators are wedge-basis elements of the state modules, graded by the
 cube height i and the quantum degree q = cor A(s) - 2k + i(s) for a
-degree-k wedge.  Boundaries preserve q, so homology splits into small
-(i, q) blocks computed exactly over the integers via Smith normal form,
-with a GF(2) channel and an Euler characteristic for cross-checking.
+degree-k wedge.  Boundaries preserve q, so the complex splits into
+(i, q) blocks.  Each block is held from assembly to homology as one
+sparse {target: {source: value}} map with no zero entries; nothing
+dense is built except on request (`ChainComplex.dense`) and for the
+small remnant left after cancellation.
+
+Integer homology first cancels generator pairs joined by a +-1 entry,
+cheapest pivot first by Markowitz cost (r-1)(c-1), which keeps fill-in
+low; Smith normal form then runs on the dense remnant only.  A GF(2)
+channel and an Euler characteristic serve for cross-checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 from .cube import (
     DEFAULT_CONVENTION,
     EdgeAssignment,
+    _subsets,
     cube_edges,
     edge_map,
     solve_edge_assignment,
@@ -40,13 +49,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Generators per bigrade plus the boundary blocks leaving each."""
+    """Generators per bigrade plus the boundary blocks leaving each.
+
+    ``boundaries[(i, q)]`` maps the generators of (i, q) into those of
+    (i + 1, q) as ``{target: {source: value}}``, indices being positions
+    in the two generator lists; no stored value is 0.  A block is
+    present whenever both bigrades have generators, even if it is zero.
+    """
 
     generators: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]]
-    boundaries: dict[tuple[int, int], list[list[int]]]
+    boundaries: dict[tuple[int, int], dict[int, dict[int, int]]]
 
     def dim(self, i: int, q: int) -> int:
         return len(self.generators.get((i, q), ()))
+
+    def dense(self, i: int, q: int) -> list[list[int]]:
+        """Block (i, q) as dim(i + 1, q) rows by dim(i, q) columns; an
+        absent block reads as zeros."""
+        m = [[0] * self.dim(i, q) for _ in range(self.dim(i + 1, q))]
+        for t, row in self.boundaries.get((i, q), {}).items():
+            for s, v in row.items():
+                m[t][s] = v
+        return m
 
 
 @dataclass(frozen=True)
@@ -72,12 +96,6 @@ class Comparison:
     report: str = ""
 
 
-def _wedge_subsets(k: int) -> list[tuple[int, ...]]:
-    return [
-        tuple(b for b in range(k) if mask >> b & 1) for mask in range(1 << k)
-    ]
-
-
 def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
     """Assemble all boundary blocks and verify the square is zero."""
     generators: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
@@ -87,7 +105,7 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
         k = state_module(g, s).rank
         i = g.grading_i(s)
         cor = g.corank(s)
-        for subset in _wedge_subsets(k):
+        for subset in _subsets(k):
             q = cor - 2 * len(subset) + i
             block = generators.setdefault((i, q), [])
             position[(s, subset)] = len(block)
@@ -131,55 +149,73 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
                         witness=(i, q, out, col, val),
                     )
 
-    boundaries: dict[tuple[int, int], list[list[int]]] = {}
+    boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for key, cols in sparse.items():
-        i, q = key
-        m = [[0] * len(generators[key]) for _ in generators[(i + 1, q)]]
+        block: dict[int, dict[int, int]] = {}
         for col, entries in cols.items():
             for row, val in entries.items():
                 if val:
-                    m[row][col] = val
-        boundaries[key] = m
+                    block.setdefault(row, {})[col] = val
+        boundaries[key] = block
     return ChainComplex(generators, boundaries)
 
 
 def _unit_cancel(c: ChainComplex):
     """Cancel generator pairs joined by a +-1 boundary entry.
 
-    One cancellation strikes a source and a target generator and
-    adjusts only the block containing the pivot; the adjacent blocks
-    lose the dead row or column with no arithmetic (the discarded
-    coordinates vanish automatically because d*d = 0).  Homology is
-    unchanged, and what survives is small enough for dense Smith
-    reduction.  Returns the surviving generator indices per bigrade
-    and the reduced blocks as {target: {source: value}} maps.
+    Works on row and column copies of the sparse blocks of ``c``, which
+    it leaves untouched.  One cancellation strikes a source and a target
+    generator and adjusts only the block containing the pivot; the
+    adjacent blocks lose the dead row or column with no arithmetic (the
+    discarded coordinates vanish automatically because d*d = 0).
+    Homology is unchanged, and what survives is small enough for dense
+    Smith reduction.
+
+    Pivots are taken in Markowitz order: lowest (r - 1)(c - 1) first,
+    r and c being the nonzero counts of the pivot's row and column, so
+    each elimination creates little fill-in.  A heap holds
+    (cost, bigrade, target, source) and is re-costed lazily: a popped
+    pivot whose cost has grown goes back with its current cost, and
+    fill-in that creates a +-1 entry pushes it.  Ties break on the
+    integer tuple, so the order does not depend on dict order.
+
+    Returns the surviving generator indices per bigrade and the reduced
+    blocks as {target: {source: value}} maps.
     """
     alive = {key: set(range(len(block))) for key, block in c.generators.items()}
     rows: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     cols: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    queue: list[tuple[tuple[int, int], int, int]] = []
-    for key, m in c.boundaries.items():
-        rd: dict[int, dict[int, int]] = {}
+    for key, block in c.boundaries.items():
         cd: dict[int, dict[int, int]] = {}
-        for t, row in enumerate(m):
-            for s, v in enumerate(row):
-                if v:
-                    rd.setdefault(t, {})[s] = v
-                    cd.setdefault(s, {})[t] = v
-                    if v in (1, -1):
-                        queue.append((key, t, s))
-        rows[key] = rd
+        for t, row in block.items():
+            for s, v in row.items():
+                cd.setdefault(s, {})[t] = v
+        rows[key] = {t: dict(row) for t, row in block.items()}
         cols[key] = cd
+    heap = [
+        ((len(row) - 1) * (len(cols[key][s]) - 1), key, t, s)
+        for key, rd in rows.items()
+        for t, row in rd.items()
+        for s, v in row.items()
+        if v in (1, -1)
+    ]
+    heapq.heapify(heap)
 
-    while queue:
-        key, t, s = queue.pop()
+    while heap:
+        cost, key, t, s = heapq.heappop(heap)
         rd, cd = rows[key], cols[key]
-        v = rd.get(t, {}).get(s)
+        row_t = rd.get(t)
+        v = row_t.get(s) if row_t else None
         if v not in (1, -1):
             continue
+        col_s = cd[s]
+        now = (len(row_t) - 1) * (len(col_s) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, key, t, s))
+            continue
         i, q = key
-        row_t = rd.pop(t)
-        col_s = cd.pop(s)
+        del rd[t]
+        del cd[s]
         alive[key].discard(s)
         alive[(i + 1, q)].discard(t)
 
@@ -208,9 +244,12 @@ def _unit_cancel(c: ChainComplex):
                 nv = r2.get(s2, 0) - v * a * b
                 if nv:
                     r2[s2] = nv
-                    cd.setdefault(s2, {})[t2] = nv
+                    c2 = cd.setdefault(s2, {})
+                    c2[t2] = nv
                     if nv in (1, -1):
-                        queue.append((key, t2, s2))
+                        heapq.heappush(
+                            heap, ((len(r2) - 1) * (len(c2) - 1), key, t2, s2)
+                        )
                 else:
                     r2.pop(s2, None)
                     c2 = cd.get(s2)
@@ -283,11 +322,12 @@ def integer_homology(c: ChainComplex) -> BigradedGroups:
     return BigradedGroups(groups)
 
 
-def _rank_f2(matrix: list[list[int]]) -> int:
+def _rank_f2(block: dict[int, dict[int, int]]) -> int:
+    """Rank over GF(2) of a sparse block, by elimination on row bitmasks."""
     rows = []
-    for row in matrix:
+    for entries in block.values():
         mask = 0
-        for j, x in enumerate(row):
+        for j, x in entries.items():
             if x & 1:
                 mask |= 1 << j
         if mask:

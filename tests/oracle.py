@@ -46,6 +46,23 @@ def rank_fraction(m):
     return r
 
 
+def rank_mod2(m):
+    """Rank over GF(2) by plain Gaussian elimination on 0/1 lists."""
+    rows = [[x % 2 for x in row] for row in m]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def invariant_factors_sympy(m):
     """Nonzero invariant factors (positive, divisibility chain) via sympy."""
     if not m or not m[0]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -170,6 +171,59 @@ def test_validate_usage(capsys):
     assert code == 2
     code, _, err = run(capsys, "validate", fixture_path("e1"), "--random", "4")
     assert code == 2
+
+
+def test_validate_rejects_no_random_graphs(capsys):
+    for argv in (
+        ("--random", "6", "0"),
+        ("--random", "6", "0", "--negative-control"),
+        ("--random", "6", "-3"),
+        ("--random", "6", "--samples", "0", "--negative-control"),
+    ):
+        code, out, err = run(capsys, "validate", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+class _Warned(Exception):
+    pass
+
+
+def first_warning(*argv):
+    """Run the CLI until it warns; (message, filename) of that warning,
+    or None if it finishes without one."""
+
+    def stop(message, category, filename, lineno, file=None, line=None):
+        raise _Warned(str(message), filename)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = stop
+        try:
+            main(list(argv))
+        except _Warned as w:
+            return w.args
+    return None
+
+
+def test_size_warning_only_where_states_are_enumerated(tmp_path, capsys):
+    names = [f"v{k}" for k in range(13)]
+    lines = [f"vertex {v} {k % 2} {'+-'[k % 2]}" for k, v in enumerate(names)]
+    edges = [f"edge {a} {b}" for a, b in zip(names, names[1:])]
+    path = tmp_path / "path13.graph"
+    path.write_text("\n".join(lines + edges) + "\n")
+    free = tmp_path / "free13.graph"
+    free.write_text("\n".join(lines + edges[:-1] + ["uedge v11 v12"]) + "\n")
+    script = tmp_path / "s.moves"
+    script.write_text("O4 v0 v1\n")
+
+    assert first_warning("check-pu", str(path)) is None
+    assert first_warning("orient", str(free)) is None
+    assert first_warning("apply", str(path), str(script)) is None
+    message, filename = first_warning("homology", str(path))
+    assert message == "13 vertices: state enumeration is exponential and will be slow"
+    assert filename == __file__
+    capsys.readouterr()
 
 
 def test_orient_free_cycle(tmp_path, capsys):

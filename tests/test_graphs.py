@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -151,8 +152,12 @@ def test_size_guard():
     verts = [(f"v{i}", i % 2, "-") for i in range(17)]
     with pytest.raises(GraphTooLarge):
         build_graph(verts, [])
-    with pytest.warns(UserWarning):
-        build_graph([(f"v{i}", i % 2, "-") for i in range(13)], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_graph([(f"v{i}", i % 2, "-") for i in range(13)], [])
+    with pytest.warns(UserWarning, match="13 vertices: state enumeration") as record:
+        g.all_states()
+    assert record[0].filename == __file__
 
 
 def test_state_names():

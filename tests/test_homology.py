@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,9 @@ from graphlink.homology import (
 )
 from graphlink.moves import apply_R, omega1_add, omega2_add
 from graphlink.pu import random_pu_graph
-from oracle import homology_block_sympy
+from oracle import homology_block_sympy, rank_mod2
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_unknot_golden_values():
@@ -45,7 +51,7 @@ def test_unknot_neg_complex_structure():
     c = build_complex(g, solve_edge_assignment(g, "X"))
     dims = {k: len(v) for k, v in c.generators.items()}
     assert dims == {(0, 0): 1, (1, 0): 1, (1, 2): 1}
-    assert [abs(x) for row in c.boundaries[(0, 0)] for x in row] == [1]
+    assert [abs(x) for row in c.dense(0, 0) for x in row] == [1]
     assert (1, 0) not in c.boundaries
 
 
@@ -58,19 +64,63 @@ def test_e1_complex_structure():
     assert by_i == {0: 1, 1: 4, 2: 1}
 
 
+def assert_matches_reference(c):
+    hz = integer_homology(c)
+    for (i, q), block in c.generators.items():
+        d_in = c.dense(i - 1, q)
+        d_out = c.dense(i, q)
+        betti, torsion = homology_block_sympy(d_in, d_out, len(block))
+        assert hz.groups.get((i, q), (0, ()))[0] == betti
+        assert list(hz.groups.get((i, q), (0, ()))[1]) == torsion
+
+
 def test_integer_homology_matches_reference_solver():
     rng = random.Random(13)
     for seed in range(10):
         g = random_pu_graph(rng.randint(2, 5), seed=1300 + seed)
         kind = rng.choice("XY")
+        assert_matches_reference(build_complex(g, solve_edge_assignment(g, kind)))
+
+
+# One graph per size 2..7, plus the two among seeds 1500-1539 at sizes
+# 4-7 whose homology has torsion.
+@pytest.mark.parametrize(
+    "n, seed", [(n, 1500 + n) for n in range(2, 8)] + [(6, 1530), (7, 1514)]
+)
+def test_sparse_blocks_against_dense_references(n, seed):
+    g = random_pu_graph(n, seed=seed)
+    for kind in "XY":
         c = build_complex(g, solve_edge_assignment(g, kind))
-        hz = integer_homology(c)
+        for block in c.boundaries.values():
+            assert all(v for row in block.values() for v in row.values())
+        assert_matches_reference(c)
+        expected = {}
         for (i, q), block in c.generators.items():
-            d_in = c.boundaries.get((i - 1, q))
-            d_out = c.boundaries.get((i, q))
-            betti, torsion = homology_block_sympy(d_in, d_out, len(block))
-            assert hz.groups.get((i, q), (0, ()))[0] == betti
-            assert list(hz.groups.get((i, q), (0, ()))[1]) == torsion
+            dim = len(block) - rank_mod2(c.dense(i, q)) - rank_mod2(c.dense(i - 1, q))
+            if dim:
+                expected[(i, q)] = dim
+        assert f2_homology(c) == expected
+
+
+def test_output_independent_of_hash_seed():
+    code = (
+        "from graphlink.fixtures import fixture\n"
+        "from graphlink.homology import format_table, khovanov\n"
+        "print(format_table(khovanov(fixture('THETA11'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            env={**env, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs[0] == outs[1] == GOLDEN.joinpath("theta11.table").read_text()
 
 
 def test_euler_and_uct_on_corpus():
