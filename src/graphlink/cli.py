@@ -58,22 +58,20 @@ def _witness(cex: Counterexample) -> str:
     )
 
 
-def _reject_non_pu(g: LabeledGraph) -> int | None:
-    cex = is_pu(g)
+def _reject_non_pu(g: LabeledGraph, method: str = "minors-b") -> bool:
+    """Print the non-PU witness and return True when ``g`` is not PU."""
+    cex = is_pu(g, method)
     if cex is None:
-        return None
+        return False
     print(f"not PU: {_witness(cex)}")
-    return 1
+    return True
 
 
 def cmd_check_pu(args: argparse.Namespace) -> int:
-    g = load_graph(args.file)
-    cex = is_pu(g, args.method)
-    if cex is None:
-        print("PU")
-        return 0
-    print(f"not PU: {_witness(cex)}")
-    return 1
+    if _reject_non_pu(load_graph(args.file), args.method):
+        return 1
+    print("PU")
+    return 0
 
 
 def cmd_orient(args: argparse.Namespace) -> int:
@@ -91,9 +89,8 @@ def cmd_orient(args: argparse.Namespace) -> int:
 
 def cmd_homology(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    bad = _reject_non_pu(g)
-    if bad is not None:
-        return bad
+    if _reject_non_pu(g):
+        return 1
     if args.coeffs == "f2":
         dims = khovanov(g, args.assignment_type, args.convention, "f2")
         for i, q in sorted(dims):
@@ -122,9 +119,8 @@ def cmd_invariance(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
     with open(args.script, encoding="utf-8") as fh:
         script = parse_script(fh.read())
-    bad = _reject_non_pu(g)
-    if bad is not None:
-        return bad
+    if _reject_non_pu(g):
+        return 1
     moved = apply_script(g, script)
     cex = is_pu(moved)
     if cex is not None:
@@ -142,9 +138,8 @@ def cmd_invariance(args: argparse.Namespace) -> int:
 
 def cmd_faces(args: argparse.Namespace) -> int:
     g = load_graph(args.file)
-    bad = _reject_non_pu(g)
-    if bad is not None:
-        return bad
+    if _reject_non_pu(g):
+        return 1
     raw = Counter()
     for s, i, j in faces(g):
         raw[classify_face(g, s, i, j, args.convention).raw] += 1
@@ -251,8 +246,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.file is not None:
         g = load_graph(args.file)
-        bad = _reject_non_pu(g)
-        if bad is not None:
+        if _reject_non_pu(g):
             print("pu FAIL")
             return 1
         print("pu PASS")

@@ -3,8 +3,9 @@
 Each state s carries a free module V(s) presented by one relation per
 vertex; cube edges carry either multiplication by a class (wedge) or the
 induced quotient map (plain).  Two-faces classify into commutative,
-anticommutative, and zero types, and a GF(2) solve turns the face classes
-into the edge signs that make the differential square to zero.
+anticommutative, and zero types by coranks and class ratios alone, and a
+GF(2) solve turns the face classes into the edge signs that make the
+differential square to zero.
 
 The zero faces split into X and Y by comparing two generator classes at
 the middle state.  The literature states the comparison rule in two
@@ -26,7 +27,6 @@ from .errors import (
     AssignmentInfeasible,
     InternalInvariantError,
     LemmaViolation,
-    CompositeMismatch,
     NotAFace,
 )
 from .graphs import LabeledGraph
@@ -251,17 +251,6 @@ def _inner(g: LabeledGraph, v: int) -> bool:
     return (g.parts[v] == 0) == (g.signs[v] == -1)
 
 
-def _compose(second: WedgeMap, first: WedgeMap) -> WedgeMap:
-    out: WedgeMap = {}
-    for t, image in first.items():
-        acc: dict[tuple[int, ...], int] = {}
-        for mid, c in image.items():
-            for dst, d in second[mid].items():
-                acc[dst] = acc.get(dst, 0) + c * d
-        out[t] = {dst: v for dst, v in acc.items() if v}
-    return out
-
-
 def _ratio(v: tuple[int, ...], w: tuple[int, ...], where: str) -> int:
     """The unit c with v = c*w, asserted to exist."""
     if not any(v) or not any(w) or not _proportional(v, w):
@@ -298,8 +287,10 @@ def classify_face(
 
     Raw types: 1 (both up, A), 2 and 3 (C), 4 (flat top, the zero faces
     X/Y), 5 (flat bottom, A or C by comparing the two classes at the far
-    corner).  The two composite maps are verified against the class:
-    equal for C, negated for A, both zero for 4.
+    corner).  Only coranks and class ratios are read; no edge map is
+    built.  The composite law each class implies (equal paths for C,
+    opposite for A, both zero for X/Y) is checked once, by the d^2 = 0
+    check of `homology.build_complex`.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -341,33 +332,6 @@ def classify_face(
         cls = "C" if _ratio(far.class_of(i), far.class_of(j), where) == 1 else "A"
     else:
         raise LemmaViolation(f"impossible corank pattern {(d1, d2, d12)} at {where}")
-
-    kind1 = "Wedge" if d1 == 1 else "Plain"
-    kind2 = "Wedge" if d2 == 1 else "Plain"
-    kind1b = "Wedge" if g.corank(s ^ bi ^ bj) - g.corank(s ^ bi) == 1 else "Plain"
-    kind2b = "Wedge" if g.corank(s ^ bi ^ bj) - g.corank(s ^ bj) == 1 else "Plain"
-    via_i = _compose(
-        edge_map(g, CubeEdge(s ^ bi, s ^ bi ^ bj, j, kind1b)),
-        edge_map(g, CubeEdge(s, s ^ bi, i, kind1)),
-    )
-    via_j = _compose(
-        edge_map(g, CubeEdge(s ^ bj, s ^ bi ^ bj, i, kind2b)),
-        edge_map(g, CubeEdge(s, s ^ bj, j, kind2)),
-    )
-    zero1 = all(not img for img in via_i.values())
-    zero2 = all(not img for img in via_j.values())
-    if raw == 4:
-        if not (zero1 and zero2):
-            raise CompositeMismatch(f"zero {where} has a nonzero composite")
-    elif cls == "C":
-        if via_i != via_j:
-            raise CompositeMismatch(f"commutative {where} fails to commute")
-    else:
-        negated = {
-            t: {dst: -v for dst, v in img.items()} for t, img in via_j.items()
-        }
-        if via_i != negated:
-            raise CompositeMismatch(f"anticommutative {where} fails to anticommute")
 
     ft = FaceType(raw, cls)
     cache[key] = ft

@@ -38,11 +38,8 @@ __all__ = [
     "TorsionDetected",
     "NotAFace",
     "AssignmentInfeasible",
-    "Infeasible",
-    "SizeBound",
     "InternalInvariantError",
     "LemmaViolation",
-    "CompositeMismatch",
     "DSquaredNonzero",
 ]
 
@@ -205,11 +202,6 @@ class AssignmentInfeasible(GraphlinkError):
         super().__init__(message)
 
 
-# Short names used at the call sites that guard sizes and solve assignments.
-Infeasible = AssignmentInfeasible
-SizeBound = GraphTooLarge
-
-
 class InternalInvariantError(GraphlinkError):
     """A structural invariant the theory guarantees failed to hold."""
 
@@ -218,12 +210,12 @@ class LemmaViolation(InternalInvariantError):
     """Generator vanishing and corank growth disagreed on an edge."""
 
 
-class CompositeMismatch(InternalInvariantError):
-    """A 2-face's composite maps are neither equal, opposite, nor zero."""
-
-
 class DSquaredNonzero(InternalInvariantError):
-    """The assembled differential does not square to zero."""
+    """The assembled differential does not square to zero.
+
+    `witness` is (source corner, vertex i, vertex j, face class, value)
+    for the first face whose two signed composites do not cancel.
+    """
 
     def __init__(self, message: str, witness=None):
         self.witness = witness

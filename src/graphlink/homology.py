@@ -23,6 +23,7 @@ from .cube import (
     DEFAULT_CONVENTION,
     EdgeAssignment,
     _subsets,
+    classify_face,
     cube_edges,
     edge_map,
     solve_edge_assignment,
@@ -97,7 +98,22 @@ class Comparison:
 
 
 def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
-    """Assemble all boundary blocks and verify the square is zero."""
+    """Assemble all boundary blocks and verify that d^2 = 0.
+
+    This is the one place where the composite law of the 2-faces is
+    checked; `classify_face` builds no edge map.  Nothing is lost: the
+    only paths from corner s to s + e_i + e_j run around the face
+    (s; i, j), so each entry of d^2 is that face's signed sum of its two
+    composites via_i and via_j.  Under the solved signs, d^2 = 0 on an
+    A or C face is exactly the anticommute or commute law.  On a
+    flat-top zero face (X or Y) one kind only forces via_i = +-via_j;
+    the two kinds give such a face opposite parities, so the `validate`
+    battery, which builds both X and Y, forces both composites to zero.
+
+    A nonzero entry raises `DSquaredNonzero` whose witness is (source
+    corner, vertex i, vertex j, face class under ``assignment.convention``,
+    value).
+    """
     generators: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
     position: dict[tuple[int, tuple[int, ...]], int] = {}
     bigrade: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
@@ -144,9 +160,14 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
                     acc[out] = acc.get(out, 0) + v1 * v2
             for out, val in acc.items():
                 if val:
+                    corner = generators[(i, q)][col][0]
+                    far = generators[(i + 2, q)][out][0]
+                    a, b = (v for v in range(g.n) if (corner ^ far) >> v & 1)
+                    cls = classify_face(g, corner, a, b, assignment.convention).cls
+                    na, nb = g.names[a], g.names[b]
                     raise DSquaredNonzero(
-                        f"d^2 != 0 from bigrade ({i},{q})",
-                        witness=(i, q, out, col, val),
+                        f"d^2 != 0 on class {cls} face ({corner:b}; {na}, {nb}): {val}",
+                        witness=(corner, na, nb, cls, val),
                     )
 
     boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {}

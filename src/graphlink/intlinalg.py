@@ -1,5 +1,5 @@
 """Exact integer linear algebra: determinants, ranks, Smith forms,
-free quotients, minor enumeration, GF(2) solving, wedge expansion.
+free quotients, minor enumeration, wedge expansion.
 
 Everything works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers; no floating point is used anywhere.
@@ -22,22 +22,14 @@ __all__ = [
     "invariant_factors",
     "quotient_projection",
     "minors_all",
-    "gf2_solve",
     "wedge_expand",
     "identity",
     "mat_mul",
-    "transpose",
 ]
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(m: list[list[int]]) -> list[list[int]]:
-    if not m:
-        return []
-    return [list(col) for col in zip(*m)]
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -270,35 +262,6 @@ def minors_all(m: list[list[int]], allowed=(-1, 0, 1)):
                 if not ok(d):
                     return rsub, csub, d
     return None
-
-
-def gf2_solve(rows: list[int], b: list[int], ncols: int) -> list[int] | None:
-    """Solve a GF(2) system given as row bitmasks.
-
-    Returns one solution with every free variable set to 0, or None
-    when the system is inconsistent.  Deterministic.
-    """
-    aug = [(r << 1) | (bb & 1) for r, bb in zip(rows, b)]
-    pivots = []  # (column, reduced row)
-    nrows = len(aug)
-    pos = 0
-    for c in range(ncols):
-        bit = 1 << (c + 1)
-        piv = next((i for i in range(pos, nrows) if aug[i] & bit), None)
-        if piv is None:
-            continue
-        aug[pos], aug[piv] = aug[piv], aug[pos]
-        for i in range(nrows):
-            if i != pos and aug[i] & bit:
-                aug[i] ^= aug[pos]
-        pivots.append((c, pos))
-        pos += 1
-    if any(row == 1 for row in aug[pos:]):
-        return None
-    x = [0] * ncols
-    for c, i in pivots:
-        x[c] = aug[i] & 1
-    return x
 
 
 def _det_small(sub: list[list[int]]) -> int:

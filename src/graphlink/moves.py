@@ -4,7 +4,9 @@ Every move takes a :class:`~graphlink.graphs.LabeledGraph` and returns a new
 one; inputs are never mutated.  The guarded twin addition (``omega2_add``)
 checks principal unimodularity of its result and refuses to leave the class.
 Moves can be recorded as :class:`Move` values, serialized to a small text
-format, and replayed with :func:`apply_script`.
+format, and replayed with :func:`apply_script`.  The vertex-count guard
+bounds what a script returns and the guarded twin addition, not the
+intermediate graphs of a script.
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ def omega1_add(
         name = fresh_names(g, 1)[0]
     elif name in g.names:
         raise DuplicateName(f"vertex {name!r} already exists")
-    _check_size(g.n + 1)
     adj = [list(row) + [0] for row in g.adj]
     adj.append([0] * (g.n + 1))
     return _build(
@@ -156,7 +157,9 @@ def omega2_add(
 
     ``dirs[k]`` is ``'o'`` when both twins point at ``neighbors[k]`` and
     ``'i'`` for the reverse.  With ``require_pu`` (the default) the result
-    must stay principally unimodular or :class:`PUViolation` is raised.
+    must stay principally unimodular or :class:`PUViolation` is raised;
+    since that check is exponential, the result must also fit the size
+    guard.  The unguarded addition is not size-checked.
     """
     n1, n2 = names
     if n1 == n2:
@@ -181,7 +184,8 @@ def omega2_add(
     if len(nbr_parts) > 1:
         raise NeighborhoodMixedParts("neighborhood spans both parts")
     part = 1 - nbr_parts.pop() if nbr_parts else 0
-    _check_size(g.n + 2)
+    if require_pu:
+        _check_size(g.n + 2)
 
     n = g.n
     adj = [list(row) + [0, 0] for row in g.adj]
@@ -512,12 +516,17 @@ def apply_script(g: LabeledGraph, script: str | list[Move]) -> LabeledGraph:
     """Replay a script (text or parsed moves) against ``g``.
 
     Stops at the first failing move and raises :class:`MoveFailed` with
-    its 0-based index; the input graph is never modified.
+    its 0-based index; the input graph is never modified.  Intermediate
+    graphs may exceed the size guard (the edge-flip macro parks four
+    twins for two moves), but the result may not: a last move that
+    leaves too many vertices fails with :class:`GraphTooLarge`.
     """
     moves = parse_script(script) if isinstance(script, str) else script
     for k, move in enumerate(moves):
         try:
             g = apply_move(g, move)
+            if k == len(moves) - 1:
+                _check_size(g.n)
         except GraphlinkError as exc:
             raise MoveFailed(k, exc) from exc
     return g

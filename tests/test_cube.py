@@ -140,6 +140,13 @@ def test_classify_small_faces():
     assert classify_face(mixed, 0b10, 0, 1).cls == "C"
 
 
+def test_classification_builds_no_edge_maps():
+    g = fixture("THETA11")
+    assert validate_cube_parity(g).ok
+    assert "face_type" in g._cache
+    assert "edge_map" not in g._cache
+
+
 def test_classify_rejects_non_faces():
     e1 = fixture("E1")
     with pytest.raises(NotAFace):

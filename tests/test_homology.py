@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from graphlink.cube import EdgeAssignment, solve_edge_assignment
+from graphlink.cube import (
+    EdgeAssignment,
+    _subsets,
+    classify_face,
+    faces,
+    solve_edge_assignment,
+    state_module,
+)
 from graphlink.errors import DSquaredNonzero
 from graphlink.fixtures import fixture
 from graphlink.graphs import build_graph
@@ -158,8 +165,55 @@ def test_dsquared_negative_control():
     key = (0, 0)
     bad_signs[key] = -bad_signs[key]
     bad = EdgeAssignment(kind="X", convention=good.convention, signs=bad_signs)
-    with pytest.raises(DSquaredNonzero):
+    with pytest.raises(DSquaredNonzero) as exc:
         build_complex(g, bad)
+    assert exc.value.witness[:4] == (0, "a", "b", "A")
+    assert exc.value.witness[4] != 0
+    assert "class A face (0; a, b)" in str(exc.value)
+
+
+def assert_witness_on_edge(g, witness, source, coordinate, convention):
+    """The witness names a face through edge (source, coordinate), with
+    that face's class."""
+    corner, na, nb, cls, value = witness
+    a, b = g.index(na), g.index(nb)
+    assert a < b and value != 0
+    assert coordinate in (a, b)
+    other = b if coordinate == a else a
+    assert source in (corner, corner ^ (1 << other))
+    assert classify_face(g, corner, a, b, convention).cls == cls
+
+
+@pytest.mark.parametrize("cls", ["A", "C"])
+def test_dsquared_names_the_face_of_a_flipped_edge(cls):
+    g = fixture("EVEN4")
+    asg = solve_edge_assignment(g, "X")
+    s, i, j = next(f for f in faces(g) if classify_face(g, *f, asg.convention).cls == cls)
+    bad = dict(asg.signs)
+    bad[(s, i)] = -bad[(s, i)]
+    with pytest.raises(DSquaredNonzero) as exc:
+        build_complex(g, EdgeAssignment(asg.kind, asg.convention, bad))
+    assert_witness_on_edge(g, exc.value.witness, s, i, asg.convention)
+
+
+@pytest.mark.parametrize("kind", ["X", "Y"])
+def test_dsquared_checks_zero_face_composites(kind):
+    # Flat-top face (111; v1, v2): corners 111 and 001 have corank 1,
+    # 101 and 011 corank 2.  Its plain edge 101 -> 001 gets a map that is
+    # well graded but sends a wedge to a nonzero class, so the composite
+    # through 101 no longer vanishes; both kinds must catch it.
+    g = random_pu_graph(3, seed=3)
+    assert classify_face(g, 0b111, 1, 2).raw == 4
+    assert [g.corank(s) for s in (0b111, 0b101, 0b011, 0b001)] == [1, 2, 2, 1]
+    asg = solve_edge_assignment(g, kind)
+    rank_t = state_module(g, 0b001).rank
+    g._cache.setdefault("edge_map", {})[(0b101, 2)] = {
+        t: ({tuple(range(len(t))): 1} if len(t) <= rank_t else {})
+        for t in _subsets(state_module(g, 0b101).rank)
+    }
+    with pytest.raises(DSquaredNonzero) as exc:
+        build_complex(g, asg)
+    assert_witness_on_edge(g, exc.value.witness, 0b101, 2, asg.convention)
 
 
 def test_kind_independence_exact():

@@ -2,7 +2,6 @@ import random
 
 from graphlink.intlinalg import (
     det,
-    gf2_solve,
     identity,
     invariant_factors,
     mat_mul,
@@ -133,25 +132,6 @@ def test_minors_all_finds_first_violation():
     assert minors_all([[1, 0], [0, 1]]) is None
     # Size-ascending order: a bad 1x1 entry wins over any 2x2 minor.
     assert minors_all([[2, 0], [0, 3]]) == ((0,), (0,), 2)
-
-
-def test_gf2_solve_basic():
-    # x0 + x1 = 1, x1 = 1  ->  x = (0, 1)
-    assert gf2_solve([0b11, 0b10], [1, 1], 2) == [0, 1]
-    # Inconsistent: x0 = 0 and x0 = 1.
-    assert gf2_solve([0b1, 0b1], [0, 1], 2) is None
-    # Underdetermined: free variables pinned to 0.
-    assert gf2_solve([0b11], [1], 2) == [1, 0]
-    rng = random.Random(19)
-    for _ in range(100):
-        ncols = rng.randint(1, 12)
-        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(1, 12))]
-        x = [rng.randint(0, 1) for _ in range(ncols)]
-        b = [bin(r & sum(v << i for i, v in enumerate(x))).count("1") % 2 for r in rows]
-        got = gf2_solve(rows, b, ncols)
-        assert got is not None
-        mask = sum(v << i for i, v in enumerate(got))
-        assert all(bin(r & mask).count("1") % 2 == bi for r, bi in zip(rows, b))
 
 
 def test_wedge_expand_small():

@@ -9,6 +9,7 @@ from graphlink.errors import (
     BadNeighborhood,
     BadSigns,
     DuplicateName,
+    GraphTooLarge,
     MoveFailed,
     NeighborhoodMixedParts,
     NotAdjacent,
@@ -338,6 +339,31 @@ def test_flip_edge_macro_skips_taken_names():
     script, out = flip_edge_macro(e1, "u", "v")
     assert "z0" not in {m.args[0] for m in script}
     assert out.adj[0][1] == -1
+
+
+@pytest.mark.parametrize("n, seed", [(13, 1), (16, 0)])
+def test_flip_edge_macro_round_trips_up_to_the_size_guard(n, seed):
+    # The macro parks four twins, so its intermediates have n + 4 vertices.
+    g = random_pu_graph(n, seed=seed)
+    i, j = g.edges()[0]
+    u, v = g.names[i], g.names[j]
+    _, once = flip_edge_macro(g, u, v)
+    assert once.adj[i][j] == -g.adj[i][j]
+    _, twice = flip_edge_macro(once, u, v)
+    assert twice == g
+
+
+def test_size_guard_bounds_script_results_and_guarded_twins():
+    g = random_pu_graph(16, seed=0)
+    for script, index in (
+        ("O1+ z 0 -\n", 0),
+        ("R v0\nO2+! za zb + N= dirs=\n", 1),
+        ("O2+ za zb + N= dirs=\nO2- za zb\n", 0),
+    ):
+        with pytest.raises(MoveFailed) as info:
+            apply_script(g, script)
+        assert info.value.index == index
+        assert isinstance(info.value.cause, GraphTooLarge)
 
 
 def test_script_roundtrip_every_opcode():
