@@ -1,10 +1,16 @@
 """Exact integer linear algebra: determinants, ranks, Smith forms,
-free quotients, minor enumeration, wedge expansion.
+free quotients, the minor table, wedge expansion.
 
 Everything works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers; no floating point is used anywhere.
 All pivot choices follow fixed deterministic rules so that repeated
 runs produce identical certificates.
+
+``minors_all`` never runs a determinant per submatrix.  It expands
+each minor along its lowest row over the nonzero minors one size
+smaller, so its cost follows the number of nonzero minors rather than
+the number of square submatrices; a minor with no nonzero expansion
+term is 0 and needs no entry.
 """
 
 from __future__ import annotations
@@ -243,25 +249,60 @@ def quotient_projection(
     return k, pi, sigma
 
 
-def minors_all(m: list[list[int]], allowed=(-1, 0, 1)):
-    """First square submatrix whose determinant is not allowed.
+def minors_all(m: list[list[int]]):
+    """First square submatrix whose determinant is not 0, 1 or -1.
 
-    Enumeration is by size ascending, then lexicographic row and
-    column subsets; returns (rows, cols, value) or None.  ``allowed``
-    may be a container of values or a predicate.
+    Returns (rows, cols, value) for the first violator in the order
+    size ascending, then lexicographic row subset, then lexicographic
+    column subset; None when every minor is in {0, +1, -1}.
+
+    The minors are built size by size from a table of the nonzero
+    minors of the size below, ``{row mask: {column mask: value}}``.  A
+    size-k minor on rows R and columns C is expanded along its lowest
+    row r0 over the (k-1)-minors on R - {r0}, and each term is reached
+    from a nonzero smaller minor by adding a row below its lowest row
+    and a column where that row is nonzero.  Pruning the zeros is
+    exact: a minor none of whose terms is reached has only zero terms,
+    so it is 0, which is allowed.  No violator of size k is missed
+    either, since all of them are in the table when it is read, and
+    the least (rows, cols) among them is the one the plain enumeration
+    meets first.
     """
     if not m or not m[0]:
         return None
-    ok = allowed if callable(allowed) else (lambda x, _a=allowed: x in _a)
-    nr, nc = len(m), len(m[0])
-    for size in range(1, min(nr, nc) + 1):
-        for rsub in combinations(range(nr), size):
-            for csub in combinations(range(nc), size):
-                sub = [[m[i][j] for j in csub] for i in rsub]
-                d = det(sub)
-                if not ok(d):
-                    return rsub, csub, d
+    entries = [[(1 << j, v) for j, v in enumerate(row) if v] for row in m]
+    table = {1 << r: dict(row) for r, row in enumerate(entries) if row}
+    while table:
+        bad = [
+            (_bits(rmask), _bits(cmask), v)
+            for rmask, cols in table.items()
+            for cmask, v in cols.items()
+            if v * v != 1
+        ]
+        if bad:
+            return min(bad)
+        larger = {}
+        for rmask, cols in table.items():
+            for r0 in range((rmask & -rmask).bit_length() - 1):
+                acc: dict[int, int] = {}
+                for cmask, v in cols.items():
+                    for bit, a in entries[r0]:
+                        if cmask & bit:
+                            continue
+                        # r0 is the first row; the column's position is
+                        # the number of columns of cmask before it
+                        term = -a * v if (cmask & (bit - 1)).bit_count() & 1 else a * v
+                        key = cmask | bit
+                        acc[key] = acc.get(key, 0) + term
+                acc = {cmask: v for cmask, v in acc.items() if v}
+                if acc:
+                    larger[rmask | 1 << r0] = acc
+        table = larger
     return None
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _det_small(sub: list[list[int]]) -> int:

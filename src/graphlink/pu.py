@@ -50,10 +50,16 @@ class Counterexample:
 def is_pu(g: LabeledGraph, method: str = "minors-b") -> Counterexample | None:
     """None when principally unimodular, else a counterexample.
 
-    The default method enumerates minors of the bipartite block,
-    which is the smallest search space; "minors-a" enumerates minors
-    of the full adjacency and "state-dets" enumerates state
-    determinants directly.
+    "minors-b" (the default) decides every minor of the bipartite
+    block B and "minors-a" every minor of the full adjacency, both
+    with ``minors_all``: minors are expanded along their lowest row
+    from the nonzero minors one size smaller, and zero minors are
+    pruned, which is exact because 0 is an allowed value.  The first
+    violation in size, row, column order is the witness.
+    "state-dets" runs one determinant per state instead and shares no
+    code with the other two.  minors-b is the cheapest (milliseconds
+    at 16 vertices); minors-a tabulates every nonzero minor of A, and
+    state-dets runs 2^n determinants.
     """
     if method == "minors-b":
         full = (1 << g.n) - 1

@@ -7,6 +7,7 @@ shares no code with the package under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -26,6 +27,44 @@ def det_cofactor(m):
         minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det_cofactor(minor)
     return total
+
+
+def det_fraction(m):
+    """Determinant by plain Gaussian elimination with Fractions."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    total = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            total = -total
+        total *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return int(total)
+
+
+def first_bad_minor(m):
+    """(rows, cols, value) of the first minor outside {0, +1, -1}, or None.
+
+    Every square submatrix gets its own determinant, in the order size
+    ascending, then lexicographic row subset, then column subset.
+    """
+    if not m or not m[0]:
+        return None
+    nr, nc = len(m), len(m[0])
+    for size in range(1, min(nr, nc) + 1):
+        for rsub in combinations(range(nr), size):
+            for csub in combinations(range(nc), size):
+                d = det_fraction([[m[i][j] for j in csub] for i in rsub])
+                if d not in (-1, 0, 1):
+                    return rsub, csub, d
+    return None
 
 
 def rank_fraction(m):

@@ -25,6 +25,13 @@ def test_check_pu_rejects_with_witness(capsys):
     code, out, _ = run(capsys, "check-pu", fixture_path("odd4"))
     assert code == 1
     assert out == "not PU: det=4 at state {u,v,w,t}\n"
+    for method, line in (
+        ("minors-b", "not PU: det=4 at state {u,v,w,t}\n"),
+        ("minors-a", "not PU: minor=2 on rows {u,t} cols {v,w}\n"),
+        ("state-dets", "not PU: det=4 at state {u,v,w,t}\n"),
+    ):
+        code, out, err = run(capsys, "check-pu", fixture_path("odd4"), "--method", method)
+        assert (code, out, err) == (1, line, "")
 
 
 def test_check_pu_accepts(capsys):

@@ -12,8 +12,9 @@ from graphlink.intlinalg import (
     wedge_expand,
 )
 from graphlink.errors import TorsionDetected
+from graphlink.pu import random_pu_graph
 
-from oracle import det_cofactor, invariant_factors_sympy, rank_fraction
+from oracle import det_cofactor, first_bad_minor, invariant_factors_sympy, rank_fraction
 
 import pytest
 
@@ -132,6 +133,38 @@ def test_minors_all_finds_first_violation():
     assert minors_all([[1, 0], [0, 1]]) is None
     # Size-ascending order: a bad 1x1 entry wins over any 2x2 minor.
     assert minors_all([[2, 0], [0, 3]]) == ((0,), (0,), 2)
+
+
+def test_minors_all_matches_reference_enumeration():
+    # The witness, not only the verdict, must match the enumeration of
+    # every submatrix; one-entry perturbations of PU matrices put the
+    # first violation past the 1 x 1 minors.
+    rng = random.Random(7)
+    matrices = []
+    for _ in range(400):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        weights = rng.choice([(1, 1, 1, 1, 1), (6, 3, 3, 1, 1), (8, 3, 3, 0, 0)])
+        vals = rng.choices([0, 1, -1, 2, -2], weights=weights, k=nr * nc)
+        matrices.append([vals[i * nc:(i + 1) * nc] for i in range(nr)])
+    for n in range(2, 9):
+        for seed in range(2):
+            g = random_pu_graph(n, seed=seed)
+            b = g.bipartite_block((1 << n) - 1)[2]
+            for m in (b, [list(row) for row in g.adj]):
+                if not m or not m[0]:
+                    continue
+                matrices.append(m)
+                for _ in range(2):
+                    bent = [row[:] for row in m]
+                    i, j = rng.randrange(len(bent)), rng.randrange(len(bent[0]))
+                    bent[i][j] = rng.choice([-1, 1]) if bent[i][j] == 0 else rng.choice([0, -bent[i][j], 2])
+                    matrices.append(bent)
+    sizes = set()
+    for m in matrices:
+        got = minors_all(m)
+        assert got == first_bad_minor(m), m
+        sizes.add(None if got is None else len(got[0]))
+    assert {None, 1, 2, 3} <= sizes
 
 
 def test_wedge_expand_small():

@@ -1,11 +1,12 @@
 import random
+import warnings
 
 import pytest
 
 from graphlink.errors import NotBipartite, StructureMismatch
 from graphlink.fixtures import fixture
 from graphlink.graphs import UnorientedGraph, build_graph, parse_unoriented
-from graphlink.intlinalg import det
+from graphlink.intlinalg import det, minors_all
 from graphlink.pu import (
     METHODS,
     all_chordless_even,
@@ -41,6 +42,28 @@ def test_odd4_counterexample():
     assert ce2.det == 4 and sorted(ce2.state) == sorted(("u", "v", "w", "t"))
     ce3 = is_pu(fixture("ODD4"), "minors-a")
     assert abs(ce3.minor) > 1
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_odd_cycle_fails_only_at_its_full_block(k):
+    # A chordless 2k-cycle with one edge reversed is odd: every proper
+    # minor of its k x k block is in {0, +1, -1} and the block itself
+    # is -2, so skipping zero minors must still reach the largest one.
+    n = 2 * k
+    verts = [(f"c{i}", i % 2, "+") for i in range(n)]
+    edges = [("c1", "c0")] + [(f"c{i}", f"c{(i + 1) % n}") for i in range(1, n)]
+    g = build_graph(verts, edges)
+    assert cycle_parity(g, tuple(range(n))) == 1
+    block = g.bipartite_block((1 << n) - 1)[2]
+    assert minors_all(block) == (tuple(range(k)), tuple(range(k)), -2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # state-dets above 12 vertices
+        for method in ("minors-b", "state-dets"):
+            ce = is_pu(g, method)
+            assert ce.det == 4 and ce.state == g.names
+        ce = is_pu(g, "minors-a")
+    assert ce.rows == g.names[0::2] and ce.cols == g.names[1::2]
+    assert ce.minor == -2
 
 
 def test_methods_agree_on_random_graphs():
