@@ -21,6 +21,7 @@ document the disagreement.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     NotAFace,
 )
 from .graphs import LabeledGraph
-from .intlinalg import mat_mul, quotient_projection, rank, wedge_expand
+from .intlinalg import quotient_projection, wedge_expand
 
 __all__ = [
     "CONVENTIONS",
@@ -62,19 +63,33 @@ class StateModule:
 
     ``projection`` (rank x n) sends e_j to the class of x_j; ``section``
     (n x rank) picks representatives, so projection @ section = identity.
+    ``classes`` and ``section_columns`` hold the same two matrices by
+    their nonzeros: the class of each x_j as (1 << a, value) pairs, and
+    each section column as (j, value) pairs.
     """
 
     state: int
     rank: int
     projection: tuple[tuple[int, ...], ...]
     section: tuple[tuple[int, ...], ...]
-    relations: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    section_columns: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def project(self, vector: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            sum(row[j] * vector[j] for j in range(len(vector)))
-            for row in self.projection
+    def __post_init__(self) -> None:
+        classes = tuple(
+            tuple((1 << a, row[j]) for a, row in enumerate(self.projection) if row[j])
+            for j in range(len(self.section))
         )
+        columns = tuple(
+            tuple((j, row[b]) for j, row in enumerate(self.section) if row[b])
+            for b in range(self.rank)
+        )
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "section_columns", columns)
 
     def class_of(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.projection)
@@ -119,8 +134,26 @@ def _relation_rows(g: LabeledGraph, s: int) -> list[list[int]]:
     return rows
 
 
+def _combine(
+    classes: tuple[tuple[tuple[int, int], ...], ...],
+    entries: Iterable[tuple[int, int]],
+) -> dict[int, int]:
+    """The class of sum x * e_j over the (j, x) in ``entries``, as
+    {1 << a: coefficient} without zeros."""
+    acc: dict[int, int] = {}
+    for j, x in entries:
+        for bit, y in classes[j]:
+            acc[bit] = acc.get(bit, 0) + x * y
+    return {bit: v for bit, v in acc.items() if v}
+
+
 def state_module(g: LabeledGraph, s: int) -> StateModule:
-    """Present V(s) and cache the result on the graph."""
+    """Present V(s) and cache the result on the graph.
+
+    The presentation is certified once here, over nonzeros only: the
+    projection kills every relation row (pi(s) R(s)^T = 0) and inverts
+    the section (pi(s) sigma(s) = I).  `edge_map` relies on both.
+    """
     cache = g._cache.setdefault("state_module", {})
     got = cache.get(s)
     if got is not None:
@@ -136,8 +169,17 @@ def state_module(g: LabeledGraph, s: int) -> StateModule:
         rank=k,
         projection=tuple(tuple(r) for r in proj),
         section=tuple(tuple(r) for r in sect),
-        relations=tuple(tuple(r) for r in rows),
     )
+    for i, row in enumerate(rows):
+        if _combine(sm.classes, [(j, x) for j, x in enumerate(row) if x]):
+            raise InternalInvariantError(
+                f"projection keeps relation {i} at state {s:b}"
+            )
+    for b, column in enumerate(sm.section_columns):
+        if _combine(sm.classes, column) != {1 << b: 1}:
+            raise InternalInvariantError(
+                f"projection does not invert section column {b} at state {s:b}"
+            )
     cache[s] = sm
     return sm
 
@@ -177,72 +219,77 @@ def _proportional(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
     )
 
 
-def _edge_columns(
-    g: LabeledGraph, e: CubeEdge
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    src = state_module(g, e.source)
-    tgt = state_module(g, e.target)
-    m = mat_mul([list(r) for r in tgt.projection], [list(r) for r in src.section])
-    w = tgt.class_of(e.coordinate)
-
-    if e.kind == "Plain":
-        if tgt.rank != src.rank - 1:
-            raise InternalInvariantError("plain edge must drop the rank by one")
-        for r in src.relations:
-            if any(tgt.project(r)):
-                raise InternalInvariantError(
-                    f"induced map ill defined on edge {e.source:b}->{e.target:b}"
-                )
-        if rank(m) != tgt.rank:
-            raise InternalInvariantError(
-                f"plain edge map not surjective at {e.source:b}->{e.target:b}"
-            )
-    else:
-        if tgt.rank != src.rank + 1:
-            raise InternalInvariantError("wedge edge must raise the rank by one")
-        if not any(w):
-            raise InternalInvariantError("wedge class vanishes in the target")
-        for r in src.relations:
-            if not _proportional(tgt.project(r), w):
-                raise InternalInvariantError(
-                    f"wedge map ill defined on edge {e.source:b}->{e.target:b}"
-                )
-        stacked = [list(w)] + [[m[a][b] for a in range(tgt.rank)] for b in range(src.rank)]
-        if rank(stacked) != tgt.rank:
-            raise InternalInvariantError(
-                f"wedge edge map not injective at {e.source:b}->{e.target:b}"
-            )
-    cols = [[m[a][b] for a in range(tgt.rank)] for b in range(src.rank)]
-    return cols, w
-
-
 def _subsets(k: int) -> list[tuple[int, ...]]:
-    return [
-        tuple(b for b in range(k) if mask >> b & 1) for mask in range(1 << k)
-    ]
+    """Every subset of range(k) as a sorted tuple, indexed by bitmask."""
+    out: list[tuple[int, ...]] = [()]
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        out.append((low.bit_length() - 1,) + out[mask ^ low])
+    return out
 
 
 def edge_map(g: LabeledGraph, e: CubeEdge) -> WedgeMap:
     """The edge's map between wedge bases, as basis-subset to image dict.
 
-    A plain edge applies the induced map generator by generator; a wedge
-    edge further multiplies by the class of the edge coordinate on the
-    left.  Rank counting, well-definedness, and the injective/surjective
-    dichotomy are all asserted.
+    Let M = pi(t) sigma(s), the k_t x k_s matrix of the induced map
+    V(s) -> V(t), and w the class of x_v in V(t), v the edge coordinate.
+    A plain edge sends the wedge of the basis elements in T to the wedge
+    of the columns of M in T, and a wedge edge multiplies that by w on
+    the left.  Expanded in the target basis, the image of T is the
+    table of |T|-minors of M on the columns T (the compound matrix),
+    with w as an extra first column on a wedge edge.  `wedge_expand`
+    builds all 2^k_s images in one table, one wedge step per subset; a
+    wedge edge passes its columns negated, since w ^ c ^ ... equals
+    -c ^ w ^ ....
+
+    The map is well defined when pi(t) kills every relation of V(s).
+    R(s) and R(t) differ only in column v, whose difference d has entry
+    +-1 at row v, and pi(t) R(t)^T = 0 is certified by `state_module`;
+    so pi(t) sends source relation i to d_i w.  On a wedge edge that is
+    a multiple of w, and w ^ w = 0, so the map is well defined by
+    construction.  On a plain edge it vanishes for every i exactly when
+    w = 0, which is the one check made here.  The rank change must be -1 (plain) or +1
+    (wedge), and M must be onto (plain: some k_t-minor, i.e. some image
+    of a k_t-subset, is nonzero) or [w | M] one to one (wedge: the image
+    of the full subset is nonzero).
+
+    Images keep their keys in lexicographic order, and the maps are
+    cached per (source, coordinate).
     """
     cache = g._cache.setdefault("edge_map", {})
     key = (e.source, e.coordinate)
     got = cache.get(key)
     if got is not None:
         return got
-    cols, w = _edge_columns(g, e)
-    k_t = state_module(g, e.target).rank
-    out: WedgeMap = {}
-    for subset in _subsets(len(cols)):
-        vectors = [cols[a] for a in subset]
-        if e.kind == "Wedge":
-            vectors = [list(w)] + vectors
-        out[subset] = wedge_expand(vectors, k_t)
+    src = state_module(g, e.source)
+    tgt = state_module(g, e.target)
+    where = f"{e.source:b}->{e.target:b}"
+    w = tgt.classes[e.coordinate]
+    if e.kind == "Plain":
+        if tgt.rank != src.rank - 1:
+            raise InternalInvariantError("plain edge must drop the rank by one")
+        if w:
+            raise InternalInvariantError(f"induced map ill defined on edge {where}")
+        sign, base = 1, {0: 1}
+    else:
+        if tgt.rank != src.rank + 1:
+            raise InternalInvariantError("wedge edge must raise the rank by one")
+        sign, base = -1, dict(w)
+    columns = [
+        [(bit, sign * v) for bit, v in _combine(tgt.classes, column).items()]
+        for column in src.section_columns
+    ]
+    table = wedge_expand(columns, base)
+    if e.kind == "Plain":
+        if not any(image for t, image in enumerate(table) if t.bit_count() == tgt.rank):
+            raise InternalInvariantError(f"plain edge map not surjective at {where}")
+    elif not table[-1]:
+        raise InternalInvariantError(f"wedge edge map not injective at {where}")
+    names = _subsets(max(src.rank, tgt.rank))
+    out: WedgeMap = {
+        subset: dict(sorted((names[mask], v) for mask, v in image.items()))
+        for subset, image in zip(names, table)
+    }
     cache[key] = out
     return out
 

@@ -1,22 +1,26 @@
 """Exact integer linear algebra: determinants, ranks, Smith forms,
-free quotients, the minor table, wedge expansion.
+free quotients, the minor table, the exterior-power table.
 
 Everything works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers; no floating point is used anywhere.
 All pivot choices follow fixed deterministic rules so that repeated
 runs produce identical certificates.
 
-``minors_all`` never runs a determinant per submatrix.  It expands
-each minor along its lowest row over the nonzero minors one size
-smaller, so its cost follows the number of nonzero minors rather than
-the number of square submatrices; a minor with no nonzero expansion
-term is 0 and needs no entry.
+``minors_all`` and ``wedge_expand`` share one primitive, `_wedge`: it
+wedges a sparse vector, given as (bit, value) pairs, into a sparse
+exterior element keyed by bitmask, the sign of each term being the
+parity of the set bits below the new bit.  ``minors_all`` uses it to
+expand each minor along its lowest row over the nonzero minors one
+size smaller, so its cost follows the number of nonzero minors rather
+than the number of square submatrices; a minor with no nonzero
+expansion term is 0 and needs no entry.  ``wedge_expand`` uses it to
+build the image of every basis subset from the image of that subset
+less its lowest element, one wedge step per subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import TorsionDetected
 
@@ -30,25 +34,11 @@ __all__ = [
     "minors_all",
     "wedge_expand",
     "identity",
-    "mat_mul",
 ]
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a:
-        return []
-    inner = len(a[0])
-    if inner == 0:
-        return [[] for _ in a]
-    ncols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(ncols)]
-        for row in a
-    ]
 
 
 def det(m: list[list[int]]) -> int:
@@ -284,17 +274,8 @@ def minors_all(m: list[list[int]]):
         larger = {}
         for rmask, cols in table.items():
             for r0 in range((rmask & -rmask).bit_length() - 1):
-                acc: dict[int, int] = {}
-                for cmask, v in cols.items():
-                    for bit, a in entries[r0]:
-                        if cmask & bit:
-                            continue
-                        # r0 is the first row; the column's position is
-                        # the number of columns of cmask before it
-                        term = -a * v if (cmask & (bit - 1)).bit_count() & 1 else a * v
-                        key = cmask | bit
-                        acc[key] = acc.get(key, 0) + term
-                acc = {cmask: v for cmask, v in acc.items() if v}
+                # r0 is the first row of the larger minor
+                acc = _wedge(entries[r0], cols)
                 if acc:
                     larger[rmask | 1 << r0] = acc
         table = larger
@@ -305,35 +286,39 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _det_small(sub: list[list[int]]) -> int:
-    n = len(sub)
-    if n == 1:
-        return sub[0][0]
-    if n == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = sub
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return det(sub)
+def _wedge(vector: list[tuple[int, int]], element: dict[int, int]) -> dict[int, int]:
+    """vector ^ element, with zero coefficients dropped.
 
-
-def wedge_expand(vectors: list[list[int]], n: int) -> dict[tuple[int, ...], int]:
-    """Expand v_1 ^ ... ^ v_m over the standard monomial basis of Z^n.
-
-    The coefficient of e_T is the maximal minor of the column matrix
-    (v_1 | ... | v_m) on the rows T.  Returns a sparse dict without
-    zero entries; the empty product is {(): 1}.
+    ``vector`` lists (1 << i, v_i) for its nonzero entries; ``element``
+    maps the bitmask of each basis monomial to its coefficient.  Putting
+    e_i in front of e_U takes one transposition per element of U below
+    i, so the term's sign is the parity of those bits.
     """
-    m = len(vectors)
-    if m == 0:
-        return {(): 1}
-    if m > n:
-        return {}
-    support = [i for i in range(n) if any(v[i] for v in vectors)]
-    out: dict[tuple[int, ...], int] = {}
-    for idx in combinations(support, m):
-        sub = [[v[i] for v in vectors] for i in idx]
-        coef = _det_small(sub)
-        if coef:
-            out[idx] = coef
-    return out
+    acc: dict[int, int] = {}
+    for mask, v in element.items():
+        for bit, a in vector:
+            if mask & bit:
+                continue
+            term = -a * v if (mask & (bit - 1)).bit_count() & 1 else a * v
+            key = mask | bit
+            acc[key] = acc.get(key, 0) + term
+    return {mask: v for mask, v in acc.items() if v}
+
+
+def wedge_expand(
+    columns: list[list[tuple[int, int]]], base: dict[int, int]
+) -> list[dict[int, int]]:
+    """The exterior-power table of ``columns`` over ``base``.
+
+    Entry T (a bitmask over the columns) is c_t1 ^ ... ^ c_tm ^ base for
+    the columns t1 < ... < tm in T, as a sparse element keyed by
+    bitmask; with base {0: 1} that is the table of minors of the column
+    matrix on the columns T.  Entry 0 is ``base``, and each further
+    entry is its lowest column wedged into the entry of T less that
+    column, so the whole table costs one `_wedge` per subset.
+    """
+    table = [base]
+    for t in range(1, 1 << len(columns)):
+        low = t & -t
+        table.append(_wedge(columns[low.bit_length() - 1], table[t ^ low]))
+    return table

@@ -13,6 +13,12 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 
+def mat_mul(a, b):
+    """Plain matrix product of two lists of rows."""
+    ncols = len(b[0]) if b else 0
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(ncols)] for row in a]
+
+
 def det_cofactor(m):
     """Determinant by recursive cofactor expansion. Exponential; n <= 6."""
     n = len(m)
@@ -65,6 +71,61 @@ def first_bad_minor(m):
                 if d not in (-1, 0, 1):
                     return rsub, csub, d
     return None
+
+
+def wedge_product(vectors, n):
+    """Expand v_1 ^ ... ^ v_m over the standard monomial basis of Z^n.
+
+    The coefficient of e_T is the maximal minor of the column matrix
+    (v_1 | ... | v_m) on the rows T, one cofactor determinant per row
+    subset in lexicographic order.  Zero coefficients are left out; the
+    empty product is {(): 1}.
+    """
+    m = len(vectors)
+    out = {}
+    for rows in combinations(range(n), m):
+        coef = det_cofactor([[v[i] for v in vectors] for i in rows])
+        if coef:
+            out[rows] = coef
+    return out
+
+
+def principal_pivot_transform(m, idx):
+    """The principal pivot transform of square ``m`` at the index list
+    ``idx``, whose principal block must be invertible: with that block
+    P, the rest Q and the off blocks B (idx rows) and C (idx columns),
+    the result has P^-1, -P^-1 B, C P^-1 and Q - C P^-1 B in place."""
+    n, k = len(m), len(idx)
+    aug = [
+        [Fraction(m[i][j]) for j in idx] + [Fraction(int(r == c)) for c in range(k)]
+        for r, i in enumerate(idx)
+    ]
+    for c in range(k):
+        piv = next(r for r in range(c, k) if aug[r][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    inv = [row[k:] for row in aug]
+    pos = {i: a for a, i in enumerate(idx)}
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i in pos and j in pos:
+                out[i][j] = inv[pos[i]][pos[j]]
+            elif i in pos:
+                out[i][j] = -sum(inv[pos[i]][b] * m[idx[b]][j] for b in range(k))
+            elif j in pos:
+                out[i][j] = sum(m[i][idx[a]] * inv[a][pos[j]] for a in range(k))
+            else:
+                out[i][j] = m[i][j] - sum(
+                    m[i][idx[a]] * inv[a][b] * m[idx[b]][j]
+                    for a in range(k)
+                    for b in range(k)
+                )
+    return out
 
 
 def rank_fraction(m):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from graphlink import cube
 from graphlink.cube import (
     DEFAULT_CONVENTION,
     CubeEdge,
+    _relation_rows,
     classify_face,
     cube_edges,
     edge_map,
@@ -16,10 +19,12 @@ from graphlink.cube import (
     validate_cube_parity,
     xi_zero,
 )
-from graphlink.errors import AssignmentInfeasible, NotAFace
+from graphlink.errors import AssignmentInfeasible, InternalInvariantError, NotAFace
 from graphlink.fixtures import fixture
 from graphlink.graphs import build_graph
 from graphlink.pu import random_pu_graph
+
+from oracle import wedge_product
 
 
 def test_default_convention_is_signed():
@@ -54,13 +59,12 @@ def test_projection_section_identity():
         g = random_pu_graph(rng.randint(2, 6), seed=400 + seed)
         for s in g.all_states():
             sm = state_module(g, s)
-            for a in range(sm.rank):
-                col = [sm.section[j][a] for j in range(g.n)]
-                image = sm.project(col)
-                want = tuple(1 if b == a else 0 for b in range(sm.rank))
-                assert image == want
-            for r in sm.relations:
-                assert sm.project(list(r)) == (0,) * sm.rank
+            for a, prow in enumerate(sm.projection):
+                for b in range(sm.rank):
+                    value = sum(prow[j] * sm.section[j][b] for j in range(g.n))
+                    assert value == (1 if a == b else 0)
+                for r in _relation_rows(g, s):
+                    assert sum(prow[j] * r[j] for j in range(g.n)) == 0
 
 
 def test_xi_zero_examples_and_alternation():
@@ -118,6 +122,103 @@ def test_edge_map_assertions_hold_on_corpus():
         for e in cube_edges(g):
             image = edge_map(g, e)
             assert len(image) == 2 ** state_module(g, e.source).rank
+
+
+def _reference_edge_map(g, e):
+    """The edge map with one cofactor expansion per basis subset."""
+    src, tgt = state_module(g, e.source), state_module(g, e.target)
+    columns = [
+        [sum(tgt.projection[a][j] * src.section[j][b] for j in range(g.n)) for a in range(tgt.rank)]
+        for b in range(src.rank)
+    ]
+    w = list(tgt.class_of(e.coordinate))
+    out = {}
+    for mask in range(1 << src.rank):
+        subset = tuple(b for b in range(src.rank) if mask >> b & 1)
+        vectors = [columns[b] for b in subset]
+        if e.kind == "Wedge":
+            vectors = [w] + vectors
+        out[subset] = wedge_product(vectors, tgt.rank)
+    return out
+
+
+def test_edge_maps_match_reference_expansion():
+    graphs = [fixture("THETA11")]
+    graphs += [random_pu_graph(n, seed=seed) for n in range(2, 9) for seed in range(3)]
+    kinds = set()
+    for g in graphs:
+        for e in cube_edges(g):
+            got = edge_map(g, e)
+            want = _reference_edge_map(g, e)
+            assert list(got) == list(want)
+            for subset, image in want.items():
+                assert list(got[subset].items()) == list(image.items()), (e, subset)
+            kinds.add(e.kind)
+    assert kinds == {"Plain", "Wedge"}
+
+
+def _with_module(g, s, **changes):
+    """Cache a doctored copy of V(s) on g."""
+    g._cache["state_module"][s] = replace(state_module(g, s), **changes)
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("entry off the section's support", "keeps relation"),
+    ("negated row", "does not invert section"),
+])
+def test_state_module_certificate_rejects_a_corrupted_projection(monkeypatch, corruption, message):
+    # Changing pi in a column where sigma's row is zero keeps pi sigma = I
+    # but breaks pi R^T = 0; negating a row of pi does the opposite.
+    g = random_pu_graph(5, seed=2)
+    real = cube.quotient_projection
+
+    def corrupted(rows, ncols):
+        k, pi, sigma = real(rows, ncols)
+        if k and corruption == "negated row":
+            pi[0] = [-x for x in pi[0]]
+        elif k:
+            j = next((j for j in range(ncols) if not any(sigma[j])), None)
+            if j is not None:
+                pi[0][j] += 1
+        return k, pi, sigma
+
+    monkeypatch.setattr(cube, "quotient_projection", corrupted)
+    raised = []
+    for s in g.all_states():
+        try:
+            state_module(g, s)
+        except InternalInvariantError as exc:
+            assert message in str(exc) and f"at state {s:b}" in str(exc)
+            assert s not in g._cache["state_module"]
+            raised.append(s)
+    assert raised
+
+
+def test_plain_edge_with_a_live_target_class_is_ill_defined():
+    g = random_pu_graph(4, seed=1)
+    e = next(e for e in cube_edges(g) if e.kind == "Plain" and state_module(g, e.target).rank)
+    tgt = state_module(g, e.target)
+    projection = [list(row) for row in tgt.projection]
+    projection[0][e.coordinate] = 1
+    _with_module(g, e.target, projection=tuple(map(tuple, projection)))
+    with pytest.raises(InternalInvariantError, match="ill defined"):
+        edge_map(g, e)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("Plain", "not surjective"),
+    ("Wedge", "not injective"),
+])
+def test_edge_map_rejects_a_section_that_loses_rank(kind, message):
+    g = random_pu_graph(4, seed=1)
+    e = next(
+        e for e in cube_edges(g)
+        if e.kind == kind and state_module(g, e.target).rank and state_module(g, e.source).rank
+    )
+    src = state_module(g, e.source)
+    _with_module(g, e.source, section=tuple((0,) * src.rank for _ in range(g.n)))
+    with pytest.raises(InternalInvariantError, match=message):
+        edge_map(g, e)
 
 
 def test_classify_small_faces():

@@ -4,7 +4,6 @@ from graphlink.intlinalg import (
     det,
     identity,
     invariant_factors,
-    mat_mul,
     minors_all,
     quotient_projection,
     rank,
@@ -14,7 +13,14 @@ from graphlink.intlinalg import (
 from graphlink.errors import TorsionDetected
 from graphlink.pu import random_pu_graph
 
-from oracle import det_cofactor, first_bad_minor, invariant_factors_sympy, rank_fraction
+from oracle import (
+    det_cofactor,
+    first_bad_minor,
+    invariant_factors_sympy,
+    mat_mul,
+    rank_fraction,
+    wedge_product,
+)
 
 import pytest
 
@@ -167,13 +173,21 @@ def test_minors_all_matches_reference_enumeration():
     assert {None, 1, 2, 3} <= sizes
 
 
+def _sparse(v):
+    return [(1 << i, x) for i, x in enumerate(v) if x]
+
+
 def test_wedge_expand_small():
-    assert wedge_expand([], 3) == {(): 1}
-    assert wedge_expand([[0, 2, 0]], 3) == {(1,): 2}
+    assert wedge_expand([], {0: 1}) == [{0: 1}]
+    assert wedge_product([], 3) == {(): 1}
+    assert wedge_expand([_sparse([0, 2, 0])], {0: 1}) == [{0: 1}, {0b010: 2}]
+    assert wedge_product([[0, 2, 0]], 3) == {(1,): 2}
     # (e0 + e1) ^ e1 = e0 ^ e1
-    assert wedge_expand([[1, 1, 0], [0, 1, 0]], 3) == {(0, 1): 1}
-    # e1 ^ e0 = -(e0 ^ e1)
-    assert wedge_expand([[0, 1], [1, 0]], 2) == {(0, 1): -1}
+    assert wedge_expand([_sparse([1, 1, 0]), _sparse([0, 1, 0])], {0: 1})[0b11] == {0b011: 1}
+    assert wedge_product([[1, 1, 0], [0, 1, 0]], 3) == {(0, 1): 1}
+    # e1 ^ e0 = -(e0 ^ e1), both as a product and over the base e0
+    assert wedge_expand([_sparse([0, 1])], {0b01: 1}) == [{0b01: 1}, {0b11: -1}]
+    assert wedge_product([[0, 1], [1, 0]], 2) == {(0, 1): -1}
 
 
 def test_wedge_expand_alternating_and_minors():
@@ -181,9 +195,21 @@ def test_wedge_expand_alternating_and_minors():
     for _ in range(50):
         n = rng.randint(2, 5)
         v = [rng.randint(-2, 2) for _ in range(n)]
-        assert wedge_expand([v, v], n) == {}
-        a = [rng.randint(-2, 2) for _ in range(n)]
-        b = [rng.randint(-2, 2) for _ in range(n)]
-        out = wedge_expand([a, b], n)
-        for (i, j), coef in out.items():
+        assert wedge_expand([_sparse(v), _sparse(v)], {0: 1})[0b11] == {}
+        assert wedge_product([v, v], n) == {}
+        columns = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+        base = [rng.randint(-1, 1) for _ in range(n)]
+        plain = wedge_expand([_sparse(c) for c in columns], {0: 1})
+        wedged = wedge_expand([_sparse(c) for c in columns], dict(_sparse(base)))
+        for t in range(1 << len(columns)):
+            chosen = [c for b, c in enumerate(columns) if t >> b & 1]
+            for table, vectors in ((plain, chosen), (wedged, chosen + [base])):
+                want = wedge_product(vectors, n)
+                got = {
+                    tuple(i for i in range(n) if mask >> i & 1): x
+                    for mask, x in table[t].items()
+                }
+                assert got == want
+        a, b = columns[0], v
+        for (i, j), coef in wedge_product([a, b], n).items():
             assert coef == a[i] * b[j] - a[j] * b[i] != 0

@@ -42,6 +42,8 @@ from graphlink.moves import (
 )
 from graphlink.pu import is_pu, random_pu_graph
 
+from oracle import principal_pivot_transform
+
 
 def test_r_reverses_and_is_involution():
     e1 = fixture("E1")
@@ -286,6 +288,29 @@ def test_omega4_matches_pivot_formula_and_preserves_pu():
         assert again == g
         checked += 1
     assert checked >= 30
+
+
+def test_omega4_is_the_principal_pivot_transform():
+    # Omega4 at the edge (u, v) is D (P sigma) D, where P is the principal
+    # pivot transform of A at {u, v}, sigma swaps rows and columns u and
+    # v, and D negates row and column u; PU is therefore preserved.
+    checked = 0
+    for n in range(2, 9):
+        for seed in range(20):
+            g = random_pu_graph(n, seed=seed)
+            for i, j in g.edges():
+                p = principal_pivot_transform([list(row) for row in g.adj], [i, j])
+                swap = {i: j, j: i}
+                d = [-1 if a == i else 1 for a in range(n)]
+                want = [
+                    [d[a] * p[swap.get(a, a)][swap.get(b, b)] * d[b] for b in range(n)]
+                    for a in range(n)
+                ]
+                out = omega4(g, g.names[i], g.names[j])
+                assert [list(row) for row in out.adj] == want
+                assert is_pu(out) is None
+                checked += 1
+    assert checked == 398
 
 
 def test_omega4_double_restores_fixtures():
