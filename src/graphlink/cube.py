@@ -1,8 +1,13 @@
 """The hypercube of states over a unimodular labeled graph.
 
 Each state s carries a free module V(s) presented by one relation per
-vertex; cube edges carry either multiplication by a class (wedge) or the
-induced quotient map (plain).  Two-faces classify into commutative,
+vertex.  The relations of the vertices in s are the rows and columns
+of the bipartite block B = B(s), so V(s) = coker(B S_1) + coker(B^T S_0)
+(S_p the signs of the part-p vertices of s) and one Smith form of B
+presents it; on principally unimodular input B is totally unimodular,
+so every invariant factor is 1 and V(s) is free.  Cube edges carry
+either multiplication by a class (wedge) or the induced quotient map
+(plain).  Two-faces classify into commutative,
 anticommutative, and zero types by coranks and class ratios alone, and a
 GF(2) solve turns the face classes into the edge signs that make the
 differential square to zero.
@@ -31,7 +36,7 @@ from .errors import (
     NotAFace,
 )
 from .graphs import LabeledGraph
-from .intlinalg import quotient_projection, wedge_expand
+from .intlinalg import block_quotient, wedge_expand
 
 __all__ = [
     "CONVENTIONS",
@@ -59,40 +64,53 @@ WedgeMap = dict[tuple[int, ...], dict[tuple[int, ...], int]]
 
 @dataclass(frozen=True)
 class StateModule:
-    """V(s) = Z^n / relations, with an explicit basis of its free quotient.
+    """V(s) = Z^n / R(s), with an explicit basis of its free quotient.
 
-    ``projection`` (rank x n) sends e_j to the class of x_j; ``section``
-    (n x rank) picks representatives, so projection @ section = identity.
-    ``classes`` and ``section_columns`` hold the same two matrices by
-    their nonzeros: the class of each x_j as (1 << a, value) pairs, and
-    each section column as (j, value) pairs.
+    R(s) has one relation per vertex i: x_i = sum over j in s of
+    sgn_j A_ij x_j when i is outside s, and 0 = that sum when i is in s.
+    The first kind eliminates the outside generators, and the second
+    kind relates part-1 generators through the rows of the bipartite
+    block B = B(s) and part-0 generators through its columns, so
+
+        V(s) = coker(B S_1) + coker(B^T S_0),
+
+    with S_p the diagonal of the signs of the part-p vertices of s and
+    coker(M) the quotient of Z^columns by the rows of M.  Both summands
+    are presented by one Smith form u B v = d: its invariant factors
+    are the same on both sides, and they are all 1 when the input is
+    principally unimodular: the principal minors of A(s) are the
+    squared minors of B, so B is totally unimodular, each nonzero minor
+    is +-1, and so is the gcd of the minors of each size up to rank B.
+
+    ``classes`` gives the class of each x_j as (1 << a, value) pairs by
+    its nonzeros, the part-0 summand's basis first; ``section_columns``
+    gives a representative of each basis element as (j, value) pairs.
+    ``projection`` (rank x n) and ``section`` (n x rank) are the same two
+    matrices written out dense, with projection @ section = identity.
     """
 
     state: int
     rank: int
-    projection: tuple[tuple[int, ...], ...]
-    section: tuple[tuple[int, ...], ...]
-    classes: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    section_columns: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        classes = tuple(
-            tuple((1 << a, row[j]) for a, row in enumerate(self.projection) if row[j])
-            for j in range(len(self.section))
-        )
-        columns = tuple(
-            tuple((j, row[b]) for j, row in enumerate(self.section) if row[b])
-            for b in range(self.rank)
-        )
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "section_columns", columns)
+    classes: tuple[tuple[tuple[int, int], ...], ...]
+    section_columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def class_of(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.projection)
+        out = [0] * self.rank
+        for bit, v in self.classes[j]:
+            out[bit.bit_length() - 1] = v
+        return tuple(out)
+
+    @property
+    def projection(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*(self.class_of(j) for j in range(len(self.classes)))))
+
+    @property
+    def section(self) -> tuple[tuple[int, ...], ...]:
+        rows = [[0] * self.rank for _ in self.classes]
+        for b, column in enumerate(self.section_columns):
+            for j, v in column:
+                rows[j][b] = v
+        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -121,19 +139,6 @@ class EdgeAssignment:
         return self.signs[(source, coordinate)]
 
 
-def _relation_rows(g: LabeledGraph, s: int) -> list[list[int]]:
-    inside = g.state_indices(s)
-    rows = []
-    for i in range(g.n):
-        row = [0] * g.n
-        if not s >> i & 1:
-            row[i] = 1
-        for j in inside:
-            row[j] += -g.signs[j] * g.adj[i][j]
-        rows.append(row)
-    return rows
-
-
 def _combine(
     classes: tuple[tuple[tuple[int, int], ...], ...],
     entries: Iterable[tuple[int, int]],
@@ -148,37 +153,67 @@ def _combine(
 
 
 def state_module(g: LabeledGraph, s: int) -> StateModule:
-    """Present V(s) and cache the result on the graph.
+    """Present V(s) from one Smith form of B(s) and cache the result.
+
+    `block_quotient` factors B(s) once; the tail of u gives the classes
+    of the part-0 generators in s and the tail of v those of the part-1
+    generators, each times the vertex's sign, and the inverse factors
+    give the section.  A vertex i outside s takes the class of
+    sum over j in s of sgn_j A_ij x_j.  rank V(s) = |s| - 2 rank B(s) is
+    checked against `LabeledGraph.corank`, which computes rank B(s) by
+    separate Bareiss elimination: it stays the independent side of this
+    lemma, and it answers many corank queries on graphs that never
+    build a module, where a Smith form would cost more.  The Smith
+    factors are not kept after the module is built, since only its
+    sparse classes and section are read again.
 
     The presentation is certified once here, over nonzeros only: the
-    projection kills every relation row (pi(s) R(s)^T = 0) and inverts
-    the section (pi(s) sigma(s) = I).  `edge_map` relies on both.
+    projection kills every relation row, including those of vertices
+    outside s (pi(s) R(s)^T = 0), and inverts the section
+    (pi(s) sigma(s) = I).  `edge_map` relies on both.
     """
     cache = g._cache.setdefault("state_module", {})
     got = cache.get(s)
     if got is not None:
         return got
-    rows = _relation_rows(g, s)
-    k, proj, sect = quotient_projection(rows, g.n)
+    part0, part1, b = g.bipartite_block(s)
+    r, row_side, col_side = block_quotient(b, len(part1))
+    k = len(part0) + len(part1) - 2 * r
     if k != g.corank(s):
         raise LemmaViolation(
             f"rank V(s) = {k} but cor A(s) = {g.corank(s)} at state {s:b}"
         )
-    sm = StateModule(
-        state=s,
-        rank=k,
-        projection=tuple(tuple(r) for r in proj),
-        section=tuple(tuple(r) for r in sect),
-    )
-    for i, row in enumerate(rows):
-        if _combine(sm.classes, [(j, x) for j, x in enumerate(row) if x]):
+    classes: list = [()] * g.n
+    columns = []
+    for vertices, (pi, sigma) in ((part0, row_side), (part1, col_side)):
+        base = len(columns)
+        for x, j in enumerate(vertices):
+            sign = g.signs[j]
+            classes[j] = tuple(
+                (1 << (base + a), sign * row[x]) for a, row in enumerate(pi) if row[x]
+            )
+        for a in range(len(pi)):
+            columns.append(tuple(
+                (j, g.signs[j] * row[a]) for j, row in zip(vertices, sigma) if row[a]
+            ))
+    inside = part0 + part1
+    relations = []
+    for i in range(g.n):
+        row = [(j, -g.signs[j] * g.adj[i][j]) for j in inside if g.adj[i][j]]
+        if not s >> i & 1:
+            classes[i] = tuple(sorted((bit, -v) for bit, v in _combine(classes, row).items()))
+            row.append((i, 1))
+        relations.append(row)
+    sm = StateModule(state=s, rank=k, classes=tuple(classes), section_columns=tuple(columns))
+    for i, row in enumerate(relations):
+        if _combine(sm.classes, row):
             raise InternalInvariantError(
                 f"projection keeps relation {i} at state {s:b}"
             )
-    for b, column in enumerate(sm.section_columns):
-        if _combine(sm.classes, column) != {1 << b: 1}:
+    for a, column in enumerate(sm.section_columns):
+        if _combine(sm.classes, column) != {1 << a: 1}:
             raise InternalInvariantError(
-                f"projection does not invert section column {b} at state {s:b}"
+                f"projection does not invert section column {a} at state {s:b}"
             )
     cache[s] = sm
     return sm
@@ -190,7 +225,7 @@ def xi_zero(g: LabeledGraph, s: int, i: int) -> bool:
     Always cross-checked against the corank increment along coordinate i;
     the two criteria agreeing is a theorem, so disagreement is fatal.
     """
-    vanishes = not any(state_module(g, s).class_of(i))
+    vanishes = not state_module(g, s).classes[i]
     grows = g.corank(s ^ (1 << i)) == g.corank(s) + 1
     if vanishes != grows:
         raise LemmaViolation(

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: determinants, ranks, Smith forms,
-free quotients, the minor table, the exterior-power table.
+the free quotients of a bipartite block, the minor table, the
+exterior-power table.
 
 Everything works on plain ``list[list[int]]`` matrices with Python's
 arbitrary-precision integers; no floating point is used anywhere.
@@ -30,7 +31,7 @@ __all__ = [
     "rank",
     "smith",
     "invariant_factors",
-    "quotient_projection",
+    "block_quotient",
     "minors_all",
     "wedge_expand",
     "identity",
@@ -104,14 +105,16 @@ def rank(m: list[list[int]]) -> int:
 class Smith:
     """Certified Smith decomposition: u @ m @ v == d.
 
-    u and v are unimodular; vinv is v's inverse, tracked during the
-    reduction so quotient computations can section the projection.
-    The diagonal of d is nonnegative and forms a divisibility chain.
+    u and v are unimodular; uinv and vinv are their inverses, tracked
+    during the reduction (one update per row or column operation) so
+    quotient computations can section their projections.  The diagonal
+    of d is nonnegative and forms a divisibility chain.
     """
 
     u: list[list[int]]
     d: list[list[int]]
     v: list[list[int]]
+    uinv: list[list[int]]
     vinv: list[list[int]]
 
     def diagonal(self) -> list[int]:
@@ -128,12 +131,15 @@ def smith(m: list[list[int]]) -> Smith:
     nc = len(m[0]) if m else 0
     a = [row[:] for row in m]
     u = identity(nr)
+    uinv = identity(nr)
     v = identity(nc)
     vinv = identity(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -143,9 +149,11 @@ def smith(m: list[list[int]]) -> Smith:
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j
+        # row_i -= q * row_j ; uinv gets the inverse column operation
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for row in uinv:
+            row[j] += q * row[i]
 
     def col_sub(j, i, q):
         # col_j -= q * col_i ; vinv gets the inverse row operation
@@ -158,6 +166,8 @@ def smith(m: list[list[int]]) -> Smith:
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(nr, nc):
@@ -201,7 +211,7 @@ def smith(m: list[list[int]]) -> Smith:
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-    return Smith(u, a, v, vinv)
+    return Smith(u, a, v, uinv, vinv)
 
 
 def invariant_factors(m: list[list[int]]) -> list[int]:
@@ -209,34 +219,44 @@ def invariant_factors(m: list[list[int]]) -> list[int]:
     return [x for x in smith(m).diagonal() if x != 0]
 
 
-def quotient_projection(
-    rows: list[list[int]], ncols: int | None = None
-) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Present Z^n modulo the span of ``rows`` as a free module.
+def block_quotient(
+    b: list[list[int]], ncols: int
+) -> tuple[int, tuple[list[list[int]], list[list[int]]], tuple[list[list[int]], list[list[int]]]]:
+    """The free quotients on both sides of one block, from one Smith form.
 
-    Returns (k, pi, sigma): pi is a k x n projection whose columns are
-    the classes of the standard generators, sigma an n x k section
-    with pi @ sigma = I.  Raises TorsionDetected when the quotient
-    has a finite cyclic summand, i.e. some invariant factor exceeds 1.
+    ``b`` has ``len(b)`` rows and ``ncols`` columns.  Returns
+    (r, (pi_row, sigma_row), (pi_col, sigma_col)) with r = rank b:
+
+    - the row side presents Z^rows modulo the columns of b.  pi_row is
+      the (rows - r) x rows tail of u, so pi_row @ b = 0, and sigma_row
+      the matching rows x (rows - r) columns of uinv;
+    - the column side presents Z^ncols modulo the rows of b.  pi_col
+      is the (ncols - r) x ncols transpose of the tail columns of v, so
+      b @ pi_col^T = 0, and sigma_col the matching rows of vinv,
+      transposed;
+
+    and pi @ sigma = I on each side.  With u b v = d, the columns of b
+    span uinv's first r columns times d and its rows span d times
+    vinv's first r rows, which the tails of u and v annihilate.  Both
+    quotients are free exactly when every invariant factor is 1;
+    otherwise this raises TorsionDetected.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty relation list")
-        ncols = len(rows[0])
-    if not rows:
-        return ncols, identity(ncols), identity(ncols)
-    s = smith(rows)
-    diag = s.diagonal()
-    nonzero = [x for x in diag if x != 0]
-    r = len(nonzero)
+    nr = len(b)
+    if not nr:
+        eye = identity(ncols)
+        return 0, ([], []), (eye, [row[:] for row in eye])
+    s = smith(b)
+    nonzero = [x for x in s.diagonal() if x != 0]
     if any(x != 1 for x in nonzero):
         raise TorsionDetected(
             f"quotient has invariant factors {nonzero}", factors=nonzero
         )
-    k = ncols - r
-    pi = [[s.v[j][r + a] for j in range(ncols)] for a in range(k)]
-    sigma = [[s.vinv[r + a][j] for a in range(k)] for j in range(ncols)]
-    return k, pi, sigma
+    r = len(nonzero)
+    pi_row = s.u[r:]
+    sigma_row = [row[r:] for row in s.uinv]
+    pi_col = [[row[r + a] for row in s.v] for a in range(ncols - r)]
+    sigma_col = [[s.vinv[r + a][y] for a in range(ncols - r)] for y in range(ncols)]
+    return r, (pi_row, sigma_row), (pi_col, sigma_col)
 
 
 def minors_all(m: list[list[int]]):

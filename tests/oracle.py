@@ -1,7 +1,10 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately naive or delegated to sympy so that it
-shares no code with the package under test.
+shares no code with the package under test.  The one exception is the
+dense n x n state-module presentation, which reduces its relation rows
+with the package's `smith` (itself checked against sympy) so that the
+block presentation of `state_module` can be compared with it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from itertools import combinations
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
+
+from graphlink.errors import TorsionDetected
+from graphlink.intlinalg import smith
 
 
 def mat_mul(a, b):
@@ -202,3 +208,40 @@ def homology_block_sympy(d_in, d_out, dim):
         rank_in = 0
         torsion = []
     return dim - rank_out - rank_in, torsion
+
+
+def relation_rows(g, s):
+    """The n x n relation rows R(s) of the state module V(s): row i is
+    [i not in s] e_i - sum over j in s of sgn_j A_ij e_j."""
+    inside = [j for j in range(g.n) if s >> j & 1]
+    rows = []
+    for i in range(g.n):
+        row = [0] * g.n
+        if not s >> i & 1:
+            row[i] = 1
+        for j in inside:
+            row[j] += -g.signs[j] * g.adj[i][j]
+        rows.append(row)
+    return rows
+
+
+def quotient_projection(rows, ncols):
+    """Present Z^ncols modulo the span of ``rows`` as a free module.
+
+    Returns (k, pi, sigma): pi is a k x ncols projection whose columns
+    are the classes of the standard generators, sigma an ncols x k
+    section with pi @ sigma = I.  Raises TorsionDetected when some
+    invariant factor exceeds 1.
+    """
+    if not rows:
+        eye = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        return ncols, eye, [row[:] for row in eye]
+    s = smith(rows)
+    nonzero = [x for x in s.diagonal() if x != 0]
+    if any(x != 1 for x in nonzero):
+        raise TorsionDetected(f"quotient has invariant factors {nonzero}", factors=nonzero)
+    r = len(nonzero)
+    k = ncols - r
+    pi = [[s.v[j][r + a] for j in range(ncols)] for a in range(k)]
+    sigma = [[s.vinv[r + a][j] for a in range(k)] for j in range(ncols)]
+    return k, pi, sigma

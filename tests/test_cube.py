@@ -9,7 +9,6 @@ from graphlink import cube
 from graphlink.cube import (
     DEFAULT_CONVENTION,
     CubeEdge,
-    _relation_rows,
     classify_face,
     cube_edges,
     edge_map,
@@ -19,12 +18,18 @@ from graphlink.cube import (
     validate_cube_parity,
     xi_zero,
 )
-from graphlink.errors import AssignmentInfeasible, InternalInvariantError, NotAFace
+from graphlink.errors import (
+    AssignmentInfeasible,
+    InternalInvariantError,
+    LemmaViolation,
+    NotAFace,
+    TorsionDetected,
+)
 from graphlink.fixtures import fixture
-from graphlink.graphs import build_graph
+from graphlink.graphs import LabeledGraph, build_graph
 from graphlink.pu import random_pu_graph
 
-from oracle import wedge_product
+from oracle import det_fraction, mat_mul, quotient_projection, relation_rows, wedge_product
 
 
 def test_default_convention_is_signed():
@@ -63,7 +68,7 @@ def test_projection_section_identity():
                 for b in range(sm.rank):
                     value = sum(prow[j] * sm.section[j][b] for j in range(g.n))
                     assert value == (1 if a == b else 0)
-                for r in _relation_rows(g, s):
+                for r in relation_rows(g, s):
                     assert sum(prow[j] * r[j] for j in range(g.n)) == 0
 
 
@@ -105,14 +110,21 @@ def test_cube_edges_shape_and_kinds():
 
 
 def test_edge_maps_on_small_fixtures():
+    # A wedge edge out of a rank-0 state sends 1 to the class w of the
+    # edge's generator in the target, a unit whose sign is fixed by the
+    # target's basis.
     e1 = fixture("E1")
+    (w,) = state_module(e1, 0b01).class_of(0)
+    assert abs(w) == 1
     grow = edge_map(e1, CubeEdge(0b00, 0b01, 0, "Wedge"))
-    assert grow == {(): {(0,): 1}}
+    assert grow == {(): {(0,): w}}
     shrink = edge_map(e1, CubeEdge(0b01, 0b11, 1, "Plain"))
     assert shrink == {(): {(): 1}, (0,): {}}
 
     neg = fixture("UNKNOT_NEG")
-    assert edge_map(neg, CubeEdge(0b0, 0b1, 0, "Wedge")) == {(): {(0,): 1}}
+    (w,) = state_module(neg, 0b1).class_of(0)
+    assert abs(w) == 1
+    assert edge_map(neg, CubeEdge(0b0, 0b1, 0, "Wedge")) == {(): {(0,): w}}
 
 
 def test_edge_map_assertions_hold_on_corpus():
@@ -165,24 +177,33 @@ def _with_module(g, s, **changes):
 @pytest.mark.parametrize("corruption, message", [
     ("entry off the section's support", "keeps relation"),
     ("negated row", "does not invert section"),
+    ("negated section column", "does not invert section"),
 ])
 def test_state_module_certificate_rejects_a_corrupted_projection(monkeypatch, corruption, message):
-    # Changing pi in a column where sigma's row is zero keeps pi sigma = I
-    # but breaks pi R^T = 0; negating a row of pi does the opposite.
-    g = random_pu_graph(5, seed=2)
-    real = cube.quotient_projection
+    # On each side of the block, pi is a tail of u or v and sigma the
+    # matching part of uinv or vinv.  Changing pi in a column where
+    # sigma's row is zero keeps pi sigma = I but breaks pi R^T = 0;
+    # negating a row of pi or a column of sigma does the opposite.
+    g = random_pu_graph(6, seed=1)
+    real = cube.block_quotient
 
-    def corrupted(rows, ncols):
-        k, pi, sigma = real(rows, ncols)
-        if k and corruption == "negated row":
-            pi[0] = [-x for x in pi[0]]
-        elif k:
-            j = next((j for j in range(ncols) if not any(sigma[j])), None)
-            if j is not None:
-                pi[0][j] += 1
-        return k, pi, sigma
+    def corrupted(b, ncols):
+        r, *sides = real(b, ncols)
+        for pi, sigma in sides:
+            if not pi:
+                continue
+            if corruption == "negated row":
+                pi[0] = [-x for x in pi[0]]
+            elif corruption == "negated section column":
+                for row in sigma:
+                    row[0] = -row[0]
+            else:
+                j = next((j for j, row in enumerate(sigma) if not any(row)), None)
+                if j is not None:
+                    pi[0][j] += 1
+        return r, *sides
 
-    monkeypatch.setattr(cube, "quotient_projection", corrupted)
+    monkeypatch.setattr(cube, "block_quotient", corrupted)
     raised = []
     for s in g.all_states():
         try:
@@ -194,13 +215,47 @@ def test_state_module_certificate_rejects_a_corrupted_projection(monkeypatch, co
     assert raised
 
 
+def test_state_module_freeness_check_fires_on_odd4():
+    g = fixture("ODD4")
+    with pytest.raises(TorsionDetected, match=r"invariant factors \[1, 2\]") as info:
+        state_module(g, 0b1111)
+    assert 2 in info.value.factors
+    assert 0b1111 not in g._cache["state_module"]
+    for s in range(0b1111):
+        assert state_module(g, s).rank == g.corank(s)
+
+
+def test_state_module_rank_is_checked_against_corank(monkeypatch):
+    g = random_pu_graph(4, seed=1)
+    real = LabeledGraph.corank
+    monkeypatch.setattr(LabeledGraph, "corank", lambda self, s: real(self, s) + 1)
+    with pytest.raises(LemmaViolation, match=r"rank V\(s\) = \d+ but cor A\(s\)"):
+        state_module(g, 0b0101)
+    assert 0b0101 not in g._cache.get("state_module", {})
+
+
+def test_state_module_matches_the_dense_presentation_up_to_basis():
+    # The n x n presentation Z^n / R(s) and the block presentation give
+    # the same module: T = pi_new sigma_old is unimodular and carries
+    # pi_old to pi_new.
+    graphs = [fixture("THETA11")]
+    graphs += [random_pu_graph(n, seed=seed) for n in range(2, 9) for seed in range(3)]
+    for g in graphs:
+        for s in g.all_states():
+            sm = state_module(g, s)
+            k, pi_old, sigma_old = quotient_projection(relation_rows(g, s), g.n)
+            assert sm.rank == k, (g.names, s)
+            t = mat_mul(sm.projection, sigma_old)
+            assert det_fraction(t) in (1, -1), (g.names, s)
+            assert mat_mul(t, pi_old) == [list(row) for row in sm.projection], (g.names, s)
+
+
 def test_plain_edge_with_a_live_target_class_is_ill_defined():
     g = random_pu_graph(4, seed=1)
     e = next(e for e in cube_edges(g) if e.kind == "Plain" and state_module(g, e.target).rank)
-    tgt = state_module(g, e.target)
-    projection = [list(row) for row in tgt.projection]
-    projection[0][e.coordinate] = 1
-    _with_module(g, e.target, projection=tuple(map(tuple, projection)))
+    classes = list(state_module(g, e.target).classes)
+    classes[e.coordinate] = ((1, 1),)
+    _with_module(g, e.target, classes=tuple(classes))
     with pytest.raises(InternalInvariantError, match="ill defined"):
         edge_map(g, e)
 
@@ -216,7 +271,7 @@ def test_edge_map_rejects_a_section_that_loses_rank(kind, message):
         if e.kind == kind and state_module(g, e.target).rank and state_module(g, e.source).rank
     )
     src = state_module(g, e.source)
-    _with_module(g, e.source, section=tuple((0,) * src.rank for _ in range(g.n)))
+    _with_module(g, e.source, section_columns=((),) * src.rank)
     with pytest.raises(InternalInvariantError, match=message):
         edge_map(g, e)
 

@@ -1,11 +1,11 @@
 import random
 
 from graphlink.intlinalg import (
+    block_quotient,
     det,
     identity,
     invariant_factors,
     minors_all,
-    quotient_projection,
     rank,
     smith,
     wedge_expand,
@@ -14,6 +14,7 @@ from graphlink.errors import TorsionDetected
 from graphlink.pu import random_pu_graph
 
 from oracle import (
+    cokernel_sympy,
     det_cofactor,
     first_bad_minor,
     invariant_factors_sympy,
@@ -81,6 +82,7 @@ def test_smith_certificates_and_divisibility():
         assert mat_mul(mat_mul(s.u, m), s.v) == s.d
         assert det(s.u) in (1, -1)
         assert det(s.v) in (1, -1)
+        assert mat_mul(s.u, s.uinv) == identity(r)
         assert mat_mul(s.v, s.vinv) == identity(c)
         diag = [s.d[i][i] for i in range(min(r, c))]
         assert all(x >= 0 for x in diag)
@@ -96,41 +98,53 @@ def test_smith_deterministic():
     assert first.u == again.u and first.v == again.v and first.d == again.d
 
 
-def test_quotient_projection_pendant_edge_state():
-    # Relation rows of the one-edge graph at the state {u}: the x_u
-    # relation is zero and x_v - x_u = 0, so the quotient is Z with
-    # both generators mapping to the same unit.
-    k, pi, sigma = quotient_projection([[0, 0], [-1, 1]])
-    assert k == 1
-    assert pi[0][0] == pi[0][1]
-    assert abs(pi[0][0]) == 1
-    assert mat_mul(pi, sigma) == [[1]]
+def test_block_quotient_pendant_edge_block():
+    # A part-0 vertex joined to two part-1 vertices: its generator is
+    # killed by the column sum, and the two part-1 generators are
+    # identified up to sign by the one row x_a + x_b = 0, so the column
+    # side is Z with them mapping to opposite units.
+    r, (pi_row, sigma_row), (pi_col, sigma_col) = block_quotient([[1, 1]], 2)
+    assert r == 1
+    assert pi_row == [] and sigma_row == [[]]
+    assert pi_col[0][0] == -pi_col[0][1]
+    assert abs(pi_col[0][0]) == 1
+    assert mat_mul(pi_col, sigma_col) == [[1]]
 
 
-def test_quotient_projection_annihilates_relations_and_sections():
+def test_block_quotient_annihilates_relations_and_sections():
     rng = random.Random(17)
+    sides_seen = set()
     for _ in range(150):
-        rows = rng.randint(0, 4)
-        n = rng.randint(1, 5)
-        rel = random_matrix(rng, rows, n, -2, 2)
+        nr = rng.randint(0, 4)
+        nc = rng.randint(1, 5)
+        b = random_matrix(rng, nr, nc, -2, 2)
+        b_t = [[b[x][y] for x in range(nr)] for y in range(nc)] if nr else []
         try:
-            k, pi, sigma = quotient_projection(rel, n)
-        except TorsionDetected:
-            facs = invariant_factors_sympy(rel)
+            r, (pi_row, sigma_row), (pi_col, sigma_col) = block_quotient(b, nc)
+        except TorsionDetected as exc:
+            facs = invariant_factors_sympy(b)
             assert any(f > 1 for f in facs)
+            assert exc.factors == facs
             continue
-        assert all(f == 1 for f in invariant_factors_sympy(rel))
-        assert k == n - len(invariant_factors_sympy(rel))
-        assert mat_mul(pi, sigma) == identity(k)
-        for row in rel:
-            assert all(
-                sum(pi[a][j] * row[j] for j in range(n)) == 0 for a in range(k)
-            )
+        facs = invariant_factors_sympy(b)
+        assert all(f == 1 for f in facs) and r == len(facs)
+        # row side: Z^nr modulo the columns of b
+        assert len(pi_row) == cokernel_sympy(b_t, nr)[0] == nr - r
+        assert mat_mul(pi_row, sigma_row) == identity(nr - r)
+        for y in range(nc):
+            assert all(sum(p[x] * b[x][y] for x in range(nr)) == 0 for p in pi_row)
+        # column side: Z^nc modulo the rows of b
+        assert len(pi_col) == cokernel_sympy(b, nc)[0] == nc - r
+        assert mat_mul(pi_col, sigma_col) == identity(nc - r)
+        for row in b:
+            assert all(sum(p[y] * row[y] for y in range(nc)) == 0 for p in pi_col)
+        sides_seen.add((bool(pi_row), bool(pi_col)))
+    assert sides_seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_quotient_projection_torsion():
+def test_block_quotient_torsion():
     with pytest.raises(TorsionDetected):
-        quotient_projection([[2, 0]])
+        block_quotient([[2, 0]], 2)
 
 
 def test_minors_all_finds_first_violation():
