@@ -27,6 +27,7 @@ from .cube import (
     xi_zero,
 )
 from .errors import (
+    AssignmentInfeasible,
     DSquaredNonzero,
     GraphFormatError,
     GraphlinkError,
@@ -162,6 +163,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
 def _battery(g: LabeledGraph, convention: str) -> list[tuple[str, bool, str]]:
     """Run every per-graph structural check; (name, ok, detail) rows."""
     checks: list[tuple[str, bool, str]] = []
+    solved: dict[str, EdgeAssignment | AssignmentInfeasible] = {}
     built: dict[str, object] = {}
 
     def run(name, fn):
@@ -187,13 +189,23 @@ def _battery(g: LabeledGraph, convention: str) -> list[tuple[str, bool, str]]:
                     xi_zero(g, s, i)
 
     def cube_parity():
-        report = validate_cube_parity(g, convention)
-        if not report.ok:
+        # Parity holds exactly when both solves succeed; the census only
+        # counts the violations when one fails.
+        for kind in "XY":
+            try:
+                solved[kind] = solve_edge_assignment(g, kind, convention)
+            except AssignmentInfeasible as exc:
+                solved[kind] = exc
+        if any(isinstance(a, AssignmentInfeasible) for a in solved.values()):
+            report = validate_cube_parity(g, convention)
             raise GraphlinkError(f"{len(report.violations)} subcube violations")
 
     def assignment(kind):
         def fn():
-            asg = solve_edge_assignment(g, kind, convention)
+            # Missing only when a face failed to classify; solving re-raises that.
+            asg = solved.get(kind) or solve_edge_assignment(g, kind, convention)
+            if isinstance(asg, AssignmentInfeasible):
+                raise asg
             built[kind] = build_complex(g, asg)
 
         return fn

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     AssignmentInfeasible,
@@ -496,7 +497,10 @@ def validate_cube_parity(
 
     Sound cubes have an even number of A+X faces and an even number of
     A+Y faces in every 3-subcube; any offender is reported with its
-    corner, coordinates, and face counts.
+    corner, coordinates, and face counts.  The cube is contractible, so
+    this holds for A+X (A+Y) exactly when the kind X (Y) solve succeeds:
+    `validate` decides parity by its solves and runs the census only to
+    count violations when one fails; `faces` prints it in full.
     """
     totals = {"A": 0, "C": 0, "X": 0, "Y": 0}
     for s, i, j in faces(g):
@@ -504,25 +508,20 @@ def validate_cube_parity(
 
     violations = []
     for s in g.all_states():
-        free = [
-            i for i in range(g.n) if g.coordinate_is_source(s, i)
-        ]
-        for a in range(len(free)):
-            for b in range(a + 1, len(free)):
-                for c in range(b + 1, len(free)):
-                    i, j, k = free[a], free[b], free[c]
-                    counts = {"A": 0, "C": 0, "X": 0, "Y": 0}
-                    for (corner, x, y) in (
-                        (s, i, j),
-                        (s, i, k),
-                        (s, j, k),
-                        (s ^ (1 << k), i, j),
-                        (s ^ (1 << j), i, k),
-                        (s ^ (1 << i), j, k),
-                    ):
-                        counts[classify_face(g, corner, x, y, convention).cls] += 1
-                    bad_x = (counts["A"] + counts["X"]) % 2
-                    bad_y = (counts["A"] + counts["Y"]) % 2
-                    if bad_x or bad_y:
-                        violations.append((s, (i, j, k), counts))
+        free = [i for i in range(g.n) if g.coordinate_is_source(s, i)]
+        for i, j, k in combinations(free, 3):
+            counts = {"A": 0, "C": 0, "X": 0, "Y": 0}
+            for (corner, x, y) in (
+                (s, i, j),
+                (s, i, k),
+                (s, j, k),
+                (s ^ (1 << k), i, j),
+                (s ^ (1 << j), i, k),
+                (s ^ (1 << i), j, k),
+            ):
+                counts[classify_face(g, corner, x, y, convention).cls] += 1
+            bad_x = (counts["A"] + counts["X"]) % 2
+            bad_y = (counts["A"] + counts["Y"]) % 2
+            if bad_x or bad_y:
+                violations.append((s, (i, j, k), counts))
     return CubeParityReport(convention, totals, violations)

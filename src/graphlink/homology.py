@@ -11,7 +11,8 @@ small remnant left after cancellation.
 Integer homology first cancels generator pairs joined by a +-1 entry,
 cheapest pivot first by Markowitz cost (r-1)(c-1), which keeps fill-in
 low; Smith normal form then runs on the dense remnant only.  A GF(2)
-channel and an Euler characteristic serve for cross-checking.
+channel, the same cancellation run mod 2, and an Euler characteristic
+serve for cross-checking.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
 
     A nonzero entry raises `DSquaredNonzero` whose witness is (source
     corner, vertex i, vertex j, face class under ``assignment.convention``,
-    value).
+    value): the least broken face by (corner, i, j), which no change of
+    module bases moves, and the least entry of d^2 on that face.
     """
     generators: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
     position: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -149,6 +151,7 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
                 colmap = sparse[(i, q)].setdefault(col, {})
                 colmap[position[tgt]] = colmap.get(position[tgt], 0) + eps * coef
 
+    broken: list[tuple[int, int, int, int]] = []
     for (i, q), cols in sparse.items():
         nxt = sparse.get((i + 1, q))
         if nxt is None:
@@ -163,12 +166,15 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
                     corner = generators[(i, q)][col][0]
                     far = generators[(i + 2, q)][out][0]
                     a, b = (v for v in range(g.n) if (corner ^ far) >> v & 1)
-                    cls = classify_face(g, corner, a, b, assignment.convention).cls
-                    na, nb = g.names[a], g.names[b]
-                    raise DSquaredNonzero(
-                        f"d^2 != 0 on class {cls} face ({corner:b}; {na}, {nb}): {val}",
-                        witness=(corner, na, nb, cls, val),
-                    )
+                    broken.append((corner, a, b, val))
+    if broken:
+        corner, a, b, val = min(broken)
+        cls = classify_face(g, corner, a, b, assignment.convention).cls
+        na, nb = g.names[a], g.names[b]
+        raise DSquaredNonzero(
+            f"d^2 != 0 on class {cls} face ({corner:b}; {na}, {nb}): {val}",
+            witness=(corner, na, nb, cls, val),
+        )
 
     boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for key, cols in sparse.items():
@@ -181,8 +187,11 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
     return ChainComplex(generators, boundaries)
 
 
-def _unit_cancel(c: ChainComplex):
+def _unit_cancel(c: ChainComplex, modulus: int = 0):
     """Cancel generator pairs joined by a +-1 boundary entry.
+
+    With ``modulus`` 2 it runs over GF(2): entries and fill-in are
+    reduced mod 2, so every entry is a unit and none survives.
 
     Works on row and column copies of the sparse blocks of ``c``, which
     it leaves untouched.  One cancellation strikes a source and a target
@@ -204,15 +213,17 @@ def _unit_cancel(c: ChainComplex):
     blocks as {target: {source: value}} maps.
     """
     alive = {key: set(range(len(block))) for key, block in c.generators.items()}
-    rows: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    cols: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    rows: dict[tuple[int, int], dict[int, dict[int, int]]] = {k: {} for k in c.boundaries}
+    cols: dict[tuple[int, int], dict[int, dict[int, int]]] = {k: {} for k in c.boundaries}
     for key, block in c.boundaries.items():
-        cd: dict[int, dict[int, int]] = {}
+        rd, cd = rows[key], cols[key]
         for t, row in block.items():
             for s, v in row.items():
-                cd.setdefault(s, {})[t] = v
-        rows[key] = {t: dict(row) for t, row in block.items()}
-        cols[key] = cd
+                if modulus:
+                    v %= modulus
+                if v:
+                    rd.setdefault(t, {})[s] = v
+                    cd.setdefault(s, {})[t] = v
     heap = [
         ((len(row) - 1) * (len(cols[key][s]) - 1), key, t, s)
         for key, rd in rows.items()
@@ -263,6 +274,8 @@ def _unit_cancel(c: ChainComplex):
                 if s2 == s:
                     continue
                 nv = r2.get(s2, 0) - v * a * b
+                if modulus:
+                    nv %= modulus
                 if nv:
                     r2[s2] = nv
                     c2 = cd.setdefault(s2, {})
@@ -343,38 +356,13 @@ def integer_homology(c: ChainComplex) -> BigradedGroups:
     return BigradedGroups(groups)
 
 
-def _rank_f2(block: dict[int, dict[int, int]]) -> int:
-    """Rank over GF(2) of a sparse block, by elimination on row bitmasks."""
-    rows = []
-    for entries in block.values():
-        mask = 0
-        for j, x in entries.items():
-            if x & 1:
-                mask |= 1 << j
-        if mask:
-            rows.append(mask)
-    count = 0
-    while rows:
-        pivot = rows.pop()
-        count += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return count
-
-
 def f2_homology(c: ChainComplex) -> dict[tuple[int, int], int]:
-    """Mod-2 homology dimensions per bigrade; zeros omitted."""
-    dims: dict[tuple[int, int], int] = {}
-    for (i, q), block in c.generators.items():
-        d_out = c.boundaries.get((i, q))
-        d_in = c.boundaries.get((i - 1, q))
-        dim = len(block)
-        dim -= _rank_f2(d_out) if d_out else 0
-        dim -= _rank_f2(d_in) if d_in else 0
-        if dim:
-            dims[(i, q)] = dim
-    return dims
+    """Mod-2 homology dimensions per bigrade, zeros omitted: the
+    generators that survive `_unit_cancel` mod 2."""
+    alive, reduced = _unit_cancel(c, 2)
+    if any(reduced.values()):
+        raise InternalInvariantError("mod-2 cancellation left a nonzero entry")
+    return {key: len(living) for key, living in alive.items() if living}
 
 
 def euler(c: ChainComplex) -> dict[int, int]:

@@ -4,8 +4,15 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
+import graphlink.cli
+import graphlink.cube
 from graphlink.cli import main
-from graphlink.graphs import parse_graph
+from graphlink.cube import classify_face, faces, solve_edge_assignment
+from graphlink.errors import DSquaredNonzero
+from graphlink.graphs import build_graph, load_graph, parse_graph, serialize_graph
+from graphlink.homology import build_complex
 from graphlink.pu import is_pu
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -165,6 +172,63 @@ def test_validate_fixture(capsys):
     assert out.strip().split("\n")[-1] == (
         "negative-control SKIP (every face has zero composites)"
     )
+
+
+def mislabel_face(monkeypatch, g):
+    """Make the solver read the least A or C face of ``g`` as the other
+    of the two classes; returns that face."""
+    face = min(f for f in faces(g) if classify_face(g, *f).cls in ("A", "C"))
+
+    def mislabeled(g, s, i, j, convention="signed"):
+        ft = classify_face(g, s, i, j, convention)
+        if (s, i, j) == face:
+            return type(ft)(ft.raw, "C" if ft.cls == "A" else "A")
+        return ft
+
+    monkeypatch.setattr(graphlink.cube, "classify_face", mislabeled)
+    return face
+
+
+def test_validate_parity_negative_control(tmp_path, capsys, monkeypatch):
+    # One mislabeled face breaks the parity of each of the n - 2
+    # 3-subcubes through it, so both sign systems become unsolvable.
+    path = fixture_path("even4")
+    mislabel_face(monkeypatch, load_graph(path))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert "cube-parity FAIL (1/1: GraphlinkError: 2 subcube violations)" in lines
+    for kind in "XY":
+        assert (
+            f"assignment-{kind} FAIL (1/1: AssignmentInfeasible: no type {kind} "
+            "assignment under convention 'signed')"
+        ) in lines
+
+    # A two-vertex cube is one face and has no 3-subcube, so the sign
+    # solve obeys the mislabel and d^2 = 0 catches it on that face.
+    g = build_graph((("a", 0, "-"), ("b", 1, "-")), ())
+    assert mislabel_face(monkeypatch, g) == (0, 0, 1)
+    with pytest.raises(DSquaredNonzero) as exc:
+        build_complex(g, solve_edge_assignment(g, "X"))
+    assert exc.value.witness[:3] == (0, "a", "b")
+    two = tmp_path / "two.graph"
+    two.write_text(serialize_graph(g))
+    mislabel_face(monkeypatch, load_graph(two))
+    code, out, _ = run(capsys, "validate", str(two))
+    assert code == 1
+    assert "cube-parity PASS" in out
+    assert "assignment-X FAIL (1/1: DSquaredNonzero: d^2 != 0 on class A face (0; a, b)" in out
+
+
+def test_validate_decides_parity_by_the_solves(capsys, monkeypatch):
+    def census(*args):
+        raise AssertionError("census run although both solves succeeded")
+
+    monkeypatch.setattr(graphlink.cli, "validate_cube_parity", census)
+    for argv in ((fixture_path("even4"),), (fixture_path("om3"),), ("--random", "6", "3")):
+        code, out, _ = run(capsys, "validate", *argv)
+        assert code == 0
+        assert "cube-parity PASS" in out
 
 
 def test_validate_random(capsys):

@@ -391,6 +391,28 @@ def test_cube_parity_clean_under_signed():
     assert validate_cube_parity(fixture("E1"), "signed").violations == []
 
 
+def test_census_violations_exactly_when_solve_fails():
+    # The cube is contractible, so the A+X (A+Y) faces of every 3-subcube
+    # are even exactly when the kind X (Y) sign system is solvable; the
+    # validate battery relies on this to decide parity by its solves.
+    outcomes = {"signed": set(), "inner": set()}
+    for n in range(2, 9):
+        for seed in range(6):
+            g = random_pu_graph(n, seed=seed)
+            for convention, seen in outcomes.items():
+                rep = validate_cube_parity(g, convention)
+                for kind in "XY":
+                    odd = any((c["A"] + c[kind]) % 2 for _, _, c in rep.violations)
+                    try:
+                        solve_edge_assignment(g, kind, convention)
+                        infeasible = False
+                    except AssignmentInfeasible:
+                        infeasible = True
+                    assert odd == infeasible, (n, seed, convention, kind)
+                    seen.add(infeasible)
+    assert outcomes == {"signed": {False}, "inner": {False, True}}
+
+
 def test_rejected_convention_regression():
     g = random_pu_graph(4, seed=5000)
     assert validate_cube_parity(g, "signed").ok

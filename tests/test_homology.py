@@ -29,6 +29,7 @@ from graphlink.homology import (
     khovanov,
     uct_check,
     BigradedGroups,
+    ChainComplex,
 )
 from graphlink.moves import apply_R, omega1_add, omega2_add
 from graphlink.pu import random_pu_graph
@@ -107,6 +108,18 @@ def test_sparse_blocks_against_dense_references(n, seed):
             if dim:
                 expected[(i, q)] = dim
         assert f2_homology(c) == expected
+
+
+def test_f2_channel_reduces_entries_that_are_not_units_over_z():
+    # d = [[2, 3], [4, 0]] has Smith form diag(1, 12) over Z and is
+    # [[0, 1], [0, 0]] mod 2: the mod-2 cancellation must pivot on the 3
+    # and drop the even entries rather than leave them as a remnant.
+    gens = [(0, ()), (1, ())]
+    c = ChainComplex({(0, 0): gens, (1, 0): gens}, {(0, 0): {0: {0: 2, 1: 3}, 1: {0: 4}}})
+    assert rank_mod2(c.dense(0, 0)) == 1
+    assert f2_homology(c) == {(0, 0): 1, (1, 0): 1}
+    assert integer_homology(c).groups == {(1, 0): (0, (12,))}
+    assert uct_check(integer_homology(c), f2_homology(c))
 
 
 def test_output_independent_of_hash_seed():
@@ -194,6 +207,31 @@ def test_dsquared_names_the_face_of_a_flipped_edge(cls):
     with pytest.raises(DSquaredNonzero) as exc:
         build_complex(g, EdgeAssignment(asg.kind, asg.convention, bad))
     assert_witness_on_edge(g, exc.value.witness, s, i, asg.convention)
+
+
+@pytest.mark.parametrize("kind", ["X", "Y"])
+def test_dsquared_names_the_least_broken_face(kind):
+    # One flipped edge sign breaks every A and C face through that edge;
+    # the witness is the least of them by (corner, i, j), whatever the
+    # module bases.  On random_pu_graph(4, seed=2) the first broken entry
+    # in generator order lies on another face for half of the edges.
+    for g in (fixture("EVEN4"), random_pu_graph(4, seed=2)):
+        asg = solve_edge_assignment(g, kind)
+        for s, i in asg.signs:
+            broken = [
+                (c, a, b)
+                for c, a, b in faces(g)
+                if i in (a, b)
+                and s in (c, c ^ (1 << (a + b - i)))
+                and classify_face(g, c, a, b).cls in ("A", "C")
+            ]
+            bad = dict(asg.signs)
+            bad[(s, i)] = -bad[(s, i)]
+            with pytest.raises(DSquaredNonzero) as exc:
+                build_complex(g, EdgeAssignment(kind, asg.convention, bad))
+            corner, a, b = min(broken)
+            cls = classify_face(g, corner, a, b).cls
+            assert exc.value.witness[:4] == (corner, g.names[a], g.names[b], cls)
 
 
 @pytest.mark.parametrize("kind", ["X", "Y"])
