@@ -237,7 +237,10 @@ def _battery(g: LabeledGraph, convention: str) -> list[tuple[str, bool, str]]:
 
 def _negative_control(g: LabeledGraph, convention: str) -> tuple[str, str]:
     """Corrupt one edge sign on a commuting face; expect d**2 != 0."""
-    asg = solve_edge_assignment(g, "X", convention)
+    try:
+        asg = solve_edge_assignment(g, "X", convention)
+    except AssignmentInfeasible:
+        return "SKIP", "no type X assignment"
     for s, i, j in faces(g):
         if classify_face(g, s, i, j, convention).cls not in ("A", "C"):
             continue

@@ -7,7 +7,10 @@ of the bipartite block B = B(s), so V(s) = coker(B S_1) + coker(B^T S_0)
 presents it; on principally unimodular input B is totally unimodular,
 so every invariant factor is 1 and V(s) is free.  Cube edges carry
 either multiplication by a class (wedge) or the induced quotient map
-(plain).  Two-faces classify into commutative,
+(plain).  States, basis elements of V(s) and basis elements of its
+exterior algebra are all keyed by bitmask: an edge map is a table
+indexed by source basis mask whose entries map target basis masks to
+coefficients.  Two-faces classify into commutative,
 anticommutative, and zero types by coranks and class ratios alone, and a
 GF(2) solve turns the face classes into the edge signs that make the
 differential square to zero.
@@ -59,9 +62,6 @@ __all__ = [
 
 CONVENTIONS = ("inner", "signed")
 DEFAULT_CONVENTION = "signed"
-
-WedgeMap = dict[tuple[int, ...], dict[tuple[int, ...], int]]
-
 
 @dataclass(frozen=True)
 class StateModule:
@@ -248,24 +248,8 @@ def cube_edges(g: LabeledGraph) -> list[CubeEdge]:
     return out
 
 
-def _proportional(v: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    n = len(v)
-    return all(
-        v[a] * w[b] == v[b] * w[a] for a in range(n) for b in range(a + 1, n)
-    )
-
-
-def _subsets(k: int) -> list[tuple[int, ...]]:
-    """Every subset of range(k) as a sorted tuple, indexed by bitmask."""
-    out: list[tuple[int, ...]] = [()]
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        out.append((low.bit_length() - 1,) + out[mask ^ low])
-    return out
-
-
-def edge_map(g: LabeledGraph, e: CubeEdge) -> WedgeMap:
-    """The edge's map between wedge bases, as basis-subset to image dict.
+def edge_map(g: LabeledGraph, e: CubeEdge) -> list[dict[int, int]]:
+    """The edge's map between wedge bases, as the `wedge_expand` table.
 
     Let M = pi(t) sigma(s), the k_t x k_s matrix of the induced map
     V(s) -> V(t), and w the class of x_v in V(t), v the edge coordinate.
@@ -289,8 +273,10 @@ def edge_map(g: LabeledGraph, e: CubeEdge) -> WedgeMap:
     of a k_t-subset, is nonzero) or [w | M] one to one (wedge: the image
     of the full subset is nonzero).
 
-    Images keep their keys in lexicographic order, and the maps are
-    cached per (source, coordinate).
+    Entry T of the table, T a bitmask over the source basis, is the
+    image of the wedge of the basis elements in T, as {target basis
+    mask: coefficient} with no zeros.  The maps are cached per (source,
+    coordinate).
     """
     cache = g._cache.setdefault("edge_map", {})
     key = (e.source, e.coordinate)
@@ -321,29 +307,24 @@ def edge_map(g: LabeledGraph, e: CubeEdge) -> WedgeMap:
             raise InternalInvariantError(f"plain edge map not surjective at {where}")
     elif not table[-1]:
         raise InternalInvariantError(f"wedge edge map not injective at {where}")
-    names = _subsets(max(src.rank, tgt.rank))
-    out: WedgeMap = {
-        subset: dict(sorted((names[mask], v) for mask, v in image.items()))
-        for subset, image in zip(names, table)
-    }
-    cache[key] = out
-    return out
+    cache[key] = table
+    return table
 
 
 def _inner(g: LabeledGraph, v: int) -> bool:
     return (g.parts[v] == 0) == (g.signs[v] == -1)
 
 
-def _ratio(v: tuple[int, ...], w: tuple[int, ...], where: str) -> int:
-    """The unit c with v = c*w, asserted to exist."""
-    if not any(v) or not any(w) or not _proportional(v, w):
-        raise LemmaViolation(f"classes not unit multiples at {where}")
-    for a, b in zip(v, w):
-        if b:
-            if a != b and a != -b:
-                raise LemmaViolation(f"class ratio not a unit at {where}")
-            return 1 if a == b else -1
-    raise LemmaViolation(f"class ratio undefined at {where}")
+def _ratio(
+    v: tuple[tuple[int, int], ...], w: tuple[tuple[int, int], ...], where: str
+) -> int:
+    """The unit c with v = c*w, asserted to exist; v and w are classes
+    as `StateModule.classes` holds them, sparse and sorted by bit."""
+    if v and v == w:
+        return 1
+    if v and v == tuple((bit, -x) for bit, x in w):
+        return -1
+    raise LemmaViolation(f"classes not unit multiples at {where}")
 
 
 def faces(g: LabeledGraph) -> list[tuple[int, int, int]]:
@@ -404,7 +385,7 @@ def classify_face(
             raise LemmaViolation(f"zero {where} lacks an inner/outer split")
         inner_c, outer_c = (i, j) if _inner(g, i) else (j, i)
         mid = state_module(g, s ^ (1 << inner_c))
-        c = _ratio(mid.class_of(outer_c), mid.class_of(inner_c), where)
+        c = _ratio(mid.classes[outer_c], mid.classes[inner_c], where)
         want = 1 if convention == "inner" else g.signs[outer_c]
         cls = "X" if c == want else "Y"
     elif (d1, d2, d12) == (-1, -1, 0):
@@ -412,7 +393,7 @@ def classify_face(
         if _inner(g, i) != _inner(g, j):
             raise LemmaViolation(f"flat {where} mixes inner and outer")
         far = state_module(g, s ^ bi ^ bj)
-        cls = "C" if _ratio(far.class_of(i), far.class_of(j), where) == 1 else "A"
+        cls = "C" if _ratio(far.classes[i], far.classes[j], where) == 1 else "A"
     else:
         raise LemmaViolation(f"impossible corank pattern {(d1, d2, d12)} at {where}")
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .cube import (
     DEFAULT_CONVENTION,
     EdgeAssignment,
-    _subsets,
     classify_face,
     cube_edges,
     edge_map,
@@ -53,13 +52,15 @@ __all__ = [
 class ChainComplex:
     """Generators per bigrade plus the boundary blocks leaving each.
 
+    ``generators[(i, q)]`` lists (state, basis mask) pairs: the mask
+    names the wedge of the V(state) basis elements it contains.
     ``boundaries[(i, q)]`` maps the generators of (i, q) into those of
     (i + 1, q) as ``{target: {source: value}}``, indices being positions
     in the two generator lists; no stored value is 0.  A block is
     present whenever both bigrades have generators, even if it is zero.
     """
 
-    generators: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]]
+    generators: dict[tuple[int, int], list[tuple[int, int]]]
     boundaries: dict[tuple[int, int], dict[int, dict[int, int]]]
 
     def dim(self, i: int, q: int) -> int:
@@ -101,6 +102,13 @@ class Comparison:
 def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
     """Assemble all boundary blocks and verify that d^2 = 0.
 
+    Generators are listed state by state, masks in increasing order, and
+    a generator's bigrade is computed from its state and the popcount of
+    its mask; every entry of an edge map must land one cube height up in
+    the same quantum degree.  Each source and target generator pair is
+    joined by at most one cube edge, and edge maps drop zeros, so each
+    entry is written once, straight into its row-major block.
+
     This is the one place where the composite law of the 2-faces is
     checked; `classify_face` builds no edge map.  Nothing is lost: the
     only paths from corner s to s + e_i + e_j run around the face
@@ -116,52 +124,46 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
     value): the least broken face by (corner, i, j), which no change of
     module bases moves, and the least entry of d^2 on that face.
     """
-    generators: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-    position: dict[tuple[int, tuple[int, ...]], int] = {}
-    bigrade: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    generators: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    position: dict[int, list[int]] = {}
     for s in g.all_states():
-        k = state_module(g, s).rank
         i = g.grading_i(s)
         cor = g.corank(s)
-        for subset in _subsets(k):
-            q = cor - 2 * len(subset) + i
-            block = generators.setdefault((i, q), [])
-            position[(s, subset)] = len(block)
-            bigrade[(s, subset)] = (i, q)
-            block.append((s, subset))
+        here = position[s] = []
+        for mask in range(1 << state_module(g, s).rank):
+            block = generators.setdefault((i, cor - 2 * mask.bit_count() + i), [])
+            here.append(len(block))
+            block.append((s, mask))
 
-    sparse: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for (i, q), block in generators.items():
-        if generators.get((i + 1, q)):
-            sparse[(i, q)] = {}
-
+    boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {
+        (i, q): {} for (i, q) in generators if (i + 1, q) in generators
+    }
     for e in cube_edges(g):
         eps = assignment.sign(e.source, e.coordinate)
-        for t_subset, image in edge_map(g, e).items():
-            src = (e.source, t_subset)
-            i, q = bigrade[src]
-            col = position[src]
-            for u_subset, coef in image.items():
-                tgt = (e.target, u_subset)
-                ti, tq = bigrade[tgt]
+        i, cor = g.grading_i(e.source), g.corank(e.source)
+        ti, tcor = g.grading_i(e.target), g.corank(e.target)
+        cols, rows = position[e.source], position[e.target]
+        for mask, image in enumerate(edge_map(g, e)):
+            q = cor - 2 * mask.bit_count() + i
+            for u, coef in image.items():
+                tq = tcor - 2 * u.bit_count() + ti
                 if (ti, tq) != (i + 1, q):
                     raise InternalInvariantError(
                         f"boundary entry moves ({i},{q}) to ({ti},{tq})"
                     )
-                colmap = sparse[(i, q)].setdefault(col, {})
-                colmap[position[tgt]] = colmap.get(position[tgt], 0) + eps * coef
+                boundaries[(i, q)].setdefault(rows[u], {})[cols[mask]] = eps * coef
 
     broken: list[tuple[int, int, int, int]] = []
-    for (i, q), cols in sparse.items():
-        nxt = sparse.get((i + 1, q))
+    for (i, q), block in boundaries.items():
+        nxt = boundaries.get((i + 1, q))
         if nxt is None:
             continue
-        for col, entries in cols.items():
+        for out, entries in nxt.items():
             acc: dict[int, int] = {}
-            for mid, v1 in entries.items():
-                for out, v2 in nxt.get(mid, {}).items():
-                    acc[out] = acc.get(out, 0) + v1 * v2
-            for out, val in acc.items():
+            for mid, v2 in entries.items():
+                for col, v1 in block.get(mid, {}).items():
+                    acc[col] = acc.get(col, 0) + v1 * v2
+            for col, val in acc.items():
                 if val:
                     corner = generators[(i, q)][col][0]
                     far = generators[(i + 2, q)][out][0]
@@ -175,15 +177,6 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
             f"d^2 != 0 on class {cls} face ({corner:b}; {na}, {nb}): {val}",
             witness=(corner, na, nb, cls, val),
         )
-
-    boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for key, cols in sparse.items():
-        block: dict[int, dict[int, int]] = {}
-        for col, entries in cols.items():
-            for row, val in entries.items():
-                if val:
-                    block.setdefault(row, {})[col] = val
-        boundaries[key] = block
     return ChainComplex(generators, boundaries)
 
 

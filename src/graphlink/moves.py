@@ -30,7 +30,7 @@ from .errors import (
     ScriptError,
     SignsNotOpposite,
 )
-from .graphs import LabeledGraph, _check_size
+from .graphs import LabeledGraph, _check_size, _sign_value
 from .pu import is_pu
 
 __all__ = [
@@ -50,19 +50,6 @@ __all__ = [
     "apply_move",
     "apply_script",
 ]
-
-_SIGN_TOKENS = {"+": 1, "-": -1, "+1": 1, "-1": -1, "1": 1}
-
-
-def _sign_value(token: str | int) -> int:
-    if isinstance(token, int):
-        if token in (1, -1):
-            return token
-        raise ValueError(f"sign must be +1 or -1, got {token}")
-    try:
-        return _SIGN_TOKENS[token]
-    except KeyError:
-        raise ValueError(f"sign must be '+' or '-', got {token!r}") from None
 
 
 def _sign_token(value: int) -> str:

@@ -174,6 +174,19 @@ def test_validate_fixture(capsys):
     )
 
 
+def test_validate_negative_control_skips_an_infeasible_x_solve(capsys):
+    # Under the inner convention the kind X sign system of this graph
+    # has no solution, so there is no assignment to corrupt.
+    code, out, err = run(
+        capsys, "validate", "--random", "7", "1", "1", "--convention", "inner",
+        "--negative-control",
+    )
+    assert code == 1
+    assert "assignment-X FAIL" in out
+    assert out.strip().split("\n")[-1] == "negative-control SKIP (no type X assignment)"
+    assert err == ""
+
+
 def mislabel_face(monkeypatch, g):
     """Make the solver read the least A or C face of ``g`` as the other
     of the two classes; returns that face."""

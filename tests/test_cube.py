@@ -117,14 +117,14 @@ def test_edge_maps_on_small_fixtures():
     (w,) = state_module(e1, 0b01).class_of(0)
     assert abs(w) == 1
     grow = edge_map(e1, CubeEdge(0b00, 0b01, 0, "Wedge"))
-    assert grow == {(): {(0,): w}}
+    assert grow == [{0b1: w}]
     shrink = edge_map(e1, CubeEdge(0b01, 0b11, 1, "Plain"))
-    assert shrink == {(): {(): 1}, (0,): {}}
+    assert shrink == [{0: 1}, {}]
 
     neg = fixture("UNKNOT_NEG")
     (w,) = state_module(neg, 0b1).class_of(0)
     assert abs(w) == 1
-    assert edge_map(neg, CubeEdge(0b0, 0b1, 0, "Wedge")) == {(): {(0,): w}}
+    assert edge_map(neg, CubeEdge(0b0, 0b1, 0, "Wedge")) == [{0b1: w}]
 
 
 def test_edge_map_assertions_hold_on_corpus():
@@ -137,20 +137,22 @@ def test_edge_map_assertions_hold_on_corpus():
 
 
 def _reference_edge_map(g, e):
-    """The edge map with one cofactor expansion per basis subset."""
+    """The edge map with one cofactor expansion per basis subset, as
+    a list indexed by source basis mask of {target basis mask: coef}."""
     src, tgt = state_module(g, e.source), state_module(g, e.target)
     columns = [
         [sum(tgt.projection[a][j] * src.section[j][b] for j in range(g.n)) for a in range(tgt.rank)]
         for b in range(src.rank)
     ]
     w = list(tgt.class_of(e.coordinate))
-    out = {}
+    out = []
     for mask in range(1 << src.rank):
         subset = tuple(b for b in range(src.rank) if mask >> b & 1)
         vectors = [columns[b] for b in subset]
         if e.kind == "Wedge":
             vectors = [w] + vectors
-        out[subset] = wedge_product(vectors, tgt.rank)
+        image = wedge_product(vectors, tgt.rank)
+        out.append({sum(1 << a for a in rows): v for rows, v in image.items()})
     return out
 
 
@@ -162,9 +164,9 @@ def test_edge_maps_match_reference_expansion():
         for e in cube_edges(g):
             got = edge_map(g, e)
             want = _reference_edge_map(g, e)
-            assert list(got) == list(want)
-            for subset, image in want.items():
-                assert list(got[subset].items()) == list(image.items()), (e, subset)
+            assert len(got) == len(want)
+            for mask, image in enumerate(want):
+                assert got[mask] == image, (e, mask)
             kinds.add(e.kind)
     assert kinds == {"Plain", "Wedge"}
 
@@ -294,6 +296,23 @@ def test_classify_small_faces():
     mixed = build_graph((("a", 0, "-"), ("b", 1, "+")), ())
     assert classify_face(mixed, 0b10, 0, 1).raw == 3
     assert classify_face(mixed, 0b10, 0, 1).cls == "C"
+
+
+@pytest.mark.parametrize("raw", [4, 5])
+def test_class_ratio_rejects_classes_that_are_not_unit_multiples(raw):
+    # Face types 4 and 5 compare the classes of x_i and x_j at a middle
+    # or far corner; doubling x_i's class at every corner that can be
+    # read leaves no unit ratio.
+    g = fixture("EVEN4")
+    s, i, j = next(f for f in faces(g) if classify_face(g, *f).raw == raw)
+    g._cache.pop("face_type")
+    bi, bj = 1 << i, 1 << j
+    for corner in (s ^ bi, s ^ bj, s ^ bi ^ bj):
+        classes = list(state_module(g, corner).classes)
+        classes[i] = tuple((bit, 2 * v) for bit, v in classes[i])
+        _with_module(g, corner, classes=tuple(classes))
+    with pytest.raises(LemmaViolation, match="not unit multiples"):
+        classify_face(g, s, i, j)
 
 
 def test_classification_builds_no_edge_maps():

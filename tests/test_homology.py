@@ -10,13 +10,14 @@ import pytest
 
 from graphlink.cube import (
     EdgeAssignment,
-    _subsets,
     classify_face,
+    cube_edges,
+    edge_map,
     faces,
     solve_edge_assignment,
     state_module,
 )
-from graphlink.errors import DSquaredNonzero
+from graphlink.errors import DSquaredNonzero, InternalInvariantError
 from graphlink.fixtures import fixture
 from graphlink.graphs import build_graph
 from graphlink.homology import (
@@ -51,7 +52,7 @@ def test_empty_graph_value():
     empty = build_graph((), ())
     assert khovanov(empty).groups == {(0, 0): (1, ())}
     c = build_complex(empty, solve_edge_assignment(empty))
-    assert c.generators == {(0, 0): [(0, ())]}
+    assert c.generators == {(0, 0): [(0, 0)]}
 
 
 def test_unknot_neg_complex_structure():
@@ -114,7 +115,7 @@ def test_f2_channel_reduces_entries_that_are_not_units_over_z():
     # d = [[2, 3], [4, 0]] has Smith form diag(1, 12) over Z and is
     # [[0, 1], [0, 0]] mod 2: the mod-2 cancellation must pivot on the 3
     # and drop the even entries rather than leave them as a remnant.
-    gens = [(0, ()), (1, ())]
+    gens = [(0, 0), (1, 0)]
     c = ChainComplex({(0, 0): gens, (1, 0): gens}, {(0, 0): {0: {0: 2, 1: 3}, 1: {0: 4}}})
     assert rank_mod2(c.dense(0, 0)) == 1
     assert f2_homology(c) == {(0, 0): 1, (1, 0): 1}
@@ -245,13 +246,30 @@ def test_dsquared_checks_zero_face_composites(kind):
     assert [g.corank(s) for s in (0b111, 0b101, 0b011, 0b001)] == [1, 2, 2, 1]
     asg = solve_edge_assignment(g, kind)
     rank_t = state_module(g, 0b001).rank
-    g._cache.setdefault("edge_map", {})[(0b101, 2)] = {
-        t: ({tuple(range(len(t))): 1} if len(t) <= rank_t else {})
-        for t in _subsets(state_module(g, 0b101).rank)
-    }
+    g._cache.setdefault("edge_map", {})[(0b101, 2)] = [
+        {(1 << t.bit_count()) - 1: 1} if t.bit_count() <= rank_t else {}
+        for t in range(1 << state_module(g, 0b101).rank)
+    ]
     with pytest.raises(DSquaredNonzero) as exc:
         build_complex(g, asg)
     assert_witness_on_edge(g, exc.value.witness, 0b101, 2, asg.convention)
+
+
+def test_build_complex_rejects_a_misgraded_edge_map():
+    # A wedge edge sends the empty wedge to the class w, of degree 1;
+    # sending it to the empty wedge instead keeps the cube height step
+    # but moves the entry two quantum degrees up.
+    g = random_pu_graph(3, seed=3)
+    asg = solve_edge_assignment(g)
+    e = next(e for e in cube_edges(g) if e.kind == "Wedge")
+    table = list(edge_map(g, e))
+    table[0] = {0: 1}
+    g._cache["edge_map"][(e.source, e.coordinate)] = table
+    i = g.grading_i(e.source)
+    q = g.corank(e.source) + i
+    with pytest.raises(InternalInvariantError) as exc:
+        build_complex(g, asg)
+    assert str(exc.value) == f"boundary entry moves ({i},{q}) to ({i + 1},{q + 2})"
 
 
 def test_kind_independence_exact():

@@ -9,6 +9,7 @@ from graphlink.errors import (
     BadNeighborhood,
     BadSigns,
     DuplicateName,
+    GraphSyntaxError,
     GraphTooLarge,
     MoveFailed,
     NeighborhoodMixedParts,
@@ -80,6 +81,12 @@ def test_omega1_roundtrip_and_errors():
         omega1_add(e1, "+", name="u")
     auto = omega1_add(e1, "-")
     assert auto.names[-1] == "z0"
+
+
+@pytest.mark.parametrize("sign", ["+1", "1", 0, 2, "x"])
+def test_move_rejects_a_bad_sign(sign):
+    with pytest.raises(GraphSyntaxError, match="bad sign"):
+        omega1_add(fixture("E1"), sign)
 
 
 def test_omega2_add_remove_roundtrip_on_e1():
