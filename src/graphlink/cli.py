@@ -35,6 +35,8 @@ from .errors import (
 )
 from .graphs import LabeledGraph, load_graph, parse_unoriented, serialize_graph
 from .homology import (
+    ChainComplex,
+    _check_d_squared,
     align_and_compare,
     build_complex,
     euler,
@@ -160,11 +162,11 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return 1
 
 
-def _battery(g: LabeledGraph, convention: str) -> list[tuple[str, bool, str]]:
-    """Run every per-graph structural check; (name, ok, detail) rows."""
+def _battery(g: LabeledGraph, convention: str):
+    """Run every per-graph check; (name, ok, detail) rows, then the X complex or None."""
     checks: list[tuple[str, bool, str]] = []
     solved: dict[str, EdgeAssignment | AssignmentInfeasible] = {}
-    built: dict[str, object] = {}
+    built: dict[str, ChainComplex] = {}
 
     def run(name, fn):
         try:
@@ -232,22 +234,29 @@ def _battery(g: LabeledGraph, convention: str) -> list[tuple[str, bool, str]]:
     run("assignment-X", assignment("X"))
     run("assignment-Y", assignment("Y"))
     run("homology-channels", homology_channels)
-    return checks
+    return checks, built.get("X")
 
 
-def _negative_control(g: LabeledGraph, convention: str) -> tuple[str, str]:
-    """Corrupt one edge sign on a commuting face; expect d**2 != 0."""
-    try:
-        asg = solve_edge_assignment(g, "X", convention)
-    except AssignmentInfeasible:
+def _negative_control(g: LabeledGraph, c: ChainComplex | None, convention: str):
+    """Corrupt the sign of edge s -> s ^ e_i of the first A or C face
+    (s; i, j) in a copy of the kind X complex ``c``: negate the entries
+    with column generator at s and row generator at s ^ e_i.  Expect
+    `_check_d_squared` to fire.  ``c`` is None when no X complex was built."""
+    if c is None:
         return "SKIP", "no type X assignment"
     for s, i, j in faces(g):
         if classify_face(g, s, i, j, convention).cls not in ("A", "C"):
             continue
-        bad = dict(asg.signs)
-        bad[(s, i)] = -bad[(s, i)]
+        t = s ^ (1 << i)
+        bad = {}
+        for (h, q), block in c.boundaries.items():
+            cols, rows = c.generators[(h, q)], c.generators[(h + 1, q)]
+            bad[(h, q)] = {
+                r: {a: -v if cols[a][0] == s and rows[r][0] == t else v for a, v in row.items()}
+                for r, row in block.items()
+            }
         try:
-            build_complex(g, EdgeAssignment(asg.kind, asg.convention, bad))
+            _check_d_squared(g, ChainComplex(c.generators, bad), convention)
         except DSquaredNonzero:
             return "PASS", "d-squared break detected"
         return "FAIL", "corrupted assignment escaped detection"
@@ -277,12 +286,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     failures: dict[str, list[str]] = {}
     order: list[str] = []
+    control = None
     for label, g in graphs:
-        for name, ok, note in _battery(g, args.convention):
+        checks, built = _battery(g, args.convention)
+        for name, ok, note in checks:
             if name not in order:
                 order.append(name)
             if not ok:
                 failures.setdefault(name, []).append(f"{label} {note}".strip())
+        if args.negative_control and control is None:
+            control = _negative_control(g, built, args.convention)
+        del built  # no complex outlives its graph's battery
 
     exit_code = 0
     suffix = f" ({len(graphs)} graphs)" if len(graphs) > 1 else ""
@@ -294,8 +308,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         else:
             print(f"{name} PASS{suffix}")
 
-    if args.negative_control:
-        verdict, note = _negative_control(graphs[0][1], args.convention)
+    if control is not None:
+        verdict, note = control
         print(f"negative-control {verdict} ({note})")
         if verdict == "FAIL":
             exit_code = 1

@@ -128,6 +128,12 @@ class FaceType:
     cls: str
 
 
+# The seven face types that occur; every cached face shares one of them.
+_FACE_TYPES = {
+    t: FaceType(*t) for t in ((1, "A"), (2, "C"), (3, "C"), (4, "X"), (4, "Y"), (5, "A"), (5, "C"))
+}
+
+
 @dataclass(frozen=True)
 class EdgeAssignment:
     """Signs epsilon(e) keyed by (source state, coordinate)."""
@@ -240,8 +246,9 @@ def cube_edges(g: LabeledGraph) -> list[CubeEdge]:
     """All directed cube edges with their map kinds, source-major order."""
     out = []
     for s in g.all_states():
+        sources = ~(s ^ g.plus)  # the arrows leave s where it agrees with plus
         for i in range(g.n):
-            if not g.coordinate_is_source(s, i):
+            if not sources >> i & 1:
                 continue
             kind = "Wedge" if xi_zero(g, s, i) else "Plain"
             out.append(CubeEdge(s, s ^ (1 << i), i, kind))
@@ -275,14 +282,9 @@ def edge_map(g: LabeledGraph, e: CubeEdge) -> list[dict[int, int]]:
 
     Entry T of the table, T a bitmask over the source basis, is the
     image of the wedge of the basis elements in T, as {target basis
-    mask: coefficient} with no zeros.  The maps are cached per (source,
-    coordinate).
+    mask: coefficient} with no zeros.  Nothing is cached: the table is
+    computed on demand, and `homology.build_complex` consumes it once.
     """
-    cache = g._cache.setdefault("edge_map", {})
-    key = (e.source, e.coordinate)
-    got = cache.get(key)
-    if got is not None:
-        return got
     src = state_module(g, e.source)
     tgt = state_module(g, e.target)
     where = f"{e.source:b}->{e.target:b}"
@@ -307,7 +309,6 @@ def edge_map(g: LabeledGraph, e: CubeEdge) -> list[dict[int, int]]:
             raise InternalInvariantError(f"plain edge map not surjective at {where}")
     elif not table[-1]:
         raise InternalInvariantError(f"wedge edge map not injective at {where}")
-    cache[key] = table
     return table
 
 
@@ -315,27 +316,31 @@ def _inner(g: LabeledGraph, v: int) -> bool:
     return (g.parts[v] == 0) == (g.signs[v] == -1)
 
 
-def _ratio(
-    v: tuple[tuple[int, int], ...], w: tuple[tuple[int, int], ...], where: str
-) -> int:
-    """The unit c with v = c*w, asserted to exist; v and w are classes
-    as `StateModule.classes` holds them, sparse and sorted by bit."""
+def _where(g: LabeledGraph, s: int, i: int, j: int) -> str:  # formatted only to raise
+    return f"face ({s:b}; {g.names[i]}, {g.names[j]})"
+
+
+def _ratio(v, w, g: LabeledGraph, s: int, i: int, j: int) -> int:
+    """The unit c with v = c*w, asserted to exist on face (s; i, j); v
+    and w are classes as `StateModule.classes` holds them, sparse and
+    sorted by bit."""
     if v and v == w:
         return 1
     if v and v == tuple((bit, -x) for bit, x in w):
         return -1
-    raise LemmaViolation(f"classes not unit multiples at {where}")
+    raise LemmaViolation(f"classes not unit multiples at {_where(g, s, i, j)}")
 
 
 def faces(g: LabeledGraph) -> list[tuple[int, int, int]]:
     """All 2-faces as (source corner, coordinate i, coordinate j), i < j."""
     out = []
     for s in g.all_states():
+        sources = ~(s ^ g.plus)
         for i in range(g.n):
-            if not g.coordinate_is_source(s, i):
+            if not sources >> i & 1:
                 continue
             for j in range(i + 1, g.n):
-                if g.coordinate_is_source(s, j):
+                if sources >> j & 1:
                     out.append((s, i, j))
     return out
 
@@ -360,7 +365,7 @@ def classify_face(
         raise ValueError(f"convention must be one of {CONVENTIONS}")
     if i == j or not 0 <= i < g.n or not 0 <= j < g.n:
         raise NotAFace(f"bad coordinates ({i}, {j})")
-    if not (g.coordinate_is_source(s, i) and g.coordinate_is_source(s, j)):
+    if (s ^ g.plus) >> i & 1 or (s ^ g.plus) >> j & 1:
         raise NotAFace(f"state {s:b} is not the source corner for ({i}, {j})")
     cache = g._cache.setdefault("face_type", {})
     key = (s, i, j, convention)
@@ -372,7 +377,6 @@ def classify_face(
     d1 = g.corank(s ^ bi) - g.corank(s)
     d2 = g.corank(s ^ bj) - g.corank(s)
     d12 = g.corank(s ^ bi ^ bj) - g.corank(s)
-    where = f"face ({s:b}; {g.names[i]}, {g.names[j]})"
     if (d1, d2, d12) == (1, 1, 2):
         raw, cls = 1, "A"
     elif (d1, d2, d12) == (-1, -1, -2):
@@ -382,23 +386,22 @@ def classify_face(
     elif (d1, d2, d12) == (1, 1, 0):
         raw = 4
         if _inner(g, i) == _inner(g, j):
-            raise LemmaViolation(f"zero {where} lacks an inner/outer split")
+            raise LemmaViolation(f"zero {_where(g, s, i, j)} lacks an inner/outer split")
         inner_c, outer_c = (i, j) if _inner(g, i) else (j, i)
         mid = state_module(g, s ^ (1 << inner_c))
-        c = _ratio(mid.classes[outer_c], mid.classes[inner_c], where)
+        c = _ratio(mid.classes[outer_c], mid.classes[inner_c], g, s, i, j)
         want = 1 if convention == "inner" else g.signs[outer_c]
         cls = "X" if c == want else "Y"
     elif (d1, d2, d12) == (-1, -1, 0):
         raw = 5
         if _inner(g, i) != _inner(g, j):
-            raise LemmaViolation(f"flat {where} mixes inner and outer")
+            raise LemmaViolation(f"flat {_where(g, s, i, j)} mixes inner and outer")
         far = state_module(g, s ^ bi ^ bj)
-        cls = "C" if _ratio(far.classes[i], far.classes[j], where) == 1 else "A"
+        cls = "C" if _ratio(far.classes[i], far.classes[j], g, s, i, j) == 1 else "A"
     else:
-        raise LemmaViolation(f"impossible corank pattern {(d1, d2, d12)} at {where}")
+        raise LemmaViolation(f"impossible corank pattern {(d1, d2, d12)} at {_where(g, s, i, j)}")
 
-    ft = FaceType(raw, cls)
-    cache[key] = ft
+    ft = cache[key] = _FACE_TYPES[raw, cls]
     return ft
 
 
@@ -434,7 +437,7 @@ def solve_edge_assignment(
     for i in range(g.n):
         bi = 1 << i
         for s in g.all_states():
-            if not g.coordinate_is_source(s, i):
+            if (s ^ g.plus) >> i & 1:
                 continue
             low = s & (bi - 1)
             if not low:
@@ -442,7 +445,7 @@ def solve_edge_assignment(
                 continue
             j = (low & -low).bit_length() - 1
             bj = 1 << j
-            c = s if g.coordinate_is_source(s, j) else s ^ bj
+            c = s ^ bj if (s ^ g.plus) >> j & 1 else s
             x[(s, i)] = (
                 parity[(c, j, i)] ^ x[(c, j)] ^ x[(c ^ bi, j)] ^ x[(s ^ bj, i)]
             )
@@ -489,7 +492,7 @@ def validate_cube_parity(
 
     violations = []
     for s in g.all_states():
-        free = [i for i in range(g.n) if g.coordinate_is_source(s, i)]
+        free = [i for i in range(g.n) if not (s ^ g.plus) >> i & 1]
         for i, j, k in combinations(free, 3):
             counts = {"A": 0, "C": 0, "X": 0, "Y": 0}
             for (corner, x, y) in (

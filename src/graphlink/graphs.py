@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DuplicateEdge,
@@ -126,22 +127,19 @@ class LabeledGraph:
             cache[state] = got
         return got
 
+    @cached_property
+    def plus(self) -> int:
+        """Mask of the + vertices: the state at the bottom of the cube."""
+        return sum(1 << v for v, sign in enumerate(self.signs) if sign == 1)
+
     def grading_i(self, state: int) -> int:
         """Height of a state in the cube: arrows add negative vertices
-        and remove positive ones, so count both kinds of progress."""
-        total = 0
-        for v in range(self.n):
-            inside = state >> v & 1
-            if self.signs[v] == -1:
-                total += inside
-            else:
-                total += 1 - inside
-        return total
+        and remove positive ones, so count where it differs from `plus`."""
+        return (state ^ self.plus).bit_count()
 
     def coordinate_is_source(self, state: int, v: int) -> bool:
         """True when the cube arrow in coordinate v leaves this state."""
-        inside = bool(state >> v & 1)
-        return inside == (self.signs[v] == 1)
+        return not (state ^ self.plus) >> v & 1
 
     def all_states(self):
         """Every state as a bitmask.  Above WARN_VERTICES this warns that

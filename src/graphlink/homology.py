@@ -100,14 +100,54 @@ class Comparison:
 
 
 def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
-    """Assemble all boundary blocks and verify that d^2 = 0.
+    """Assemble all boundary blocks in one pass, then `_check_d_squared`.
 
     Generators are listed state by state, masks in increasing order, and
-    a generator's bigrade is computed from its state and the popcount of
-    its mask; every entry of an edge map must land one cube height up in
-    the same quantum degree.  Each source and target generator pair is
-    joined by at most one cube edge, and edge maps drop zeros, so each
-    entry is written once, straight into its row-major block.
+    a generator's bigrade is computed from per-state arrays of height
+    and corank and the popcount of its mask; every entry of an edge map
+    must land one cube height up in the same quantum degree.  Each
+    source and target generator pair is joined by at most one cube edge,
+    and edge maps drop zeros, so each entry is written once, straight
+    into its row-major block; each edge map is dropped once written.
+    """
+    states = g.all_states()
+    height = [(s ^ g.plus).bit_count() for s in states]
+    cor = [g.corank(s) for s in states]
+    generators: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    position: dict[int, list[int]] = {}
+    for s in states:
+        i = height[s]
+        here = position[s] = []
+        for mask in range(1 << state_module(g, s).rank):
+            block = generators.setdefault((i, cor[s] - 2 * mask.bit_count() + i), [])
+            here.append(len(block))
+            block.append((s, mask))
+
+    boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {
+        (i, q): {} for (i, q) in generators if (i + 1, q) in generators
+    }
+    for e in cube_edges(g):
+        eps = assignment.sign(e.source, e.coordinate)
+        i, ti = height[e.source], height[e.target]
+        q0, tq0 = cor[e.source] + i, cor[e.target] + ti
+        cols, rows = position[e.source], position[e.target]
+        for mask, image in enumerate(edge_map(g, e)):
+            q = q0 - 2 * mask.bit_count()
+            block = boundaries.get((i, q))
+            for u, coef in image.items():
+                tq = tq0 - 2 * u.bit_count()
+                if (ti, tq) != (i + 1, q):
+                    raise InternalInvariantError(
+                        f"boundary entry moves ({i},{q}) to ({ti},{tq})"
+                    )
+                block.setdefault(rows[u], {})[cols[mask]] = eps * coef
+    c = ChainComplex(generators, boundaries)
+    _check_d_squared(g, c, assignment.convention)
+    return c
+
+
+def _check_d_squared(g: LabeledGraph, c: ChainComplex, convention: str) -> None:
+    """Raise `DSquaredNonzero` unless d^2 = 0 on ``c``, a complex over the cube of ``g``.
 
     This is the one place where the composite law of the 2-faces is
     checked; `classify_face` builds no edge map.  Nothing is lost: the
@@ -119,43 +159,14 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
     the two kinds give such a face opposite parities, so the `validate`
     battery, which builds both X and Y, forces both composites to zero.
 
-    A nonzero entry raises `DSquaredNonzero` whose witness is (source
-    corner, vertex i, vertex j, face class under ``assignment.convention``,
-    value): the least broken face by (corner, i, j), which no change of
-    module bases moves, and the least entry of d^2 on that face.
+    The witness is (source corner, vertex i, vertex j, face class under
+    ``convention``, value): the least broken face by (corner, i, j),
+    which no change of module bases moves, and the least entry of d^2 on
+    that face.
     """
-    generators: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    position: dict[int, list[int]] = {}
-    for s in g.all_states():
-        i = g.grading_i(s)
-        cor = g.corank(s)
-        here = position[s] = []
-        for mask in range(1 << state_module(g, s).rank):
-            block = generators.setdefault((i, cor - 2 * mask.bit_count() + i), [])
-            here.append(len(block))
-            block.append((s, mask))
-
-    boundaries: dict[tuple[int, int], dict[int, dict[int, int]]] = {
-        (i, q): {} for (i, q) in generators if (i + 1, q) in generators
-    }
-    for e in cube_edges(g):
-        eps = assignment.sign(e.source, e.coordinate)
-        i, cor = g.grading_i(e.source), g.corank(e.source)
-        ti, tcor = g.grading_i(e.target), g.corank(e.target)
-        cols, rows = position[e.source], position[e.target]
-        for mask, image in enumerate(edge_map(g, e)):
-            q = cor - 2 * mask.bit_count() + i
-            for u, coef in image.items():
-                tq = tcor - 2 * u.bit_count() + ti
-                if (ti, tq) != (i + 1, q):
-                    raise InternalInvariantError(
-                        f"boundary entry moves ({i},{q}) to ({ti},{tq})"
-                    )
-                boundaries[(i, q)].setdefault(rows[u], {})[cols[mask]] = eps * coef
-
     broken: list[tuple[int, int, int, int]] = []
-    for (i, q), block in boundaries.items():
-        nxt = boundaries.get((i + 1, q))
+    for (i, q), block in c.boundaries.items():
+        nxt = c.boundaries.get((i + 1, q))
         if nxt is None:
             continue
         for out, entries in nxt.items():
@@ -165,19 +176,18 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
                     acc[col] = acc.get(col, 0) + v1 * v2
             for col, val in acc.items():
                 if val:
-                    corner = generators[(i, q)][col][0]
-                    far = generators[(i + 2, q)][out][0]
+                    corner = c.generators[(i, q)][col][0]
+                    far = c.generators[(i + 2, q)][out][0]
                     a, b = (v for v in range(g.n) if (corner ^ far) >> v & 1)
                     broken.append((corner, a, b, val))
     if broken:
         corner, a, b, val = min(broken)
-        cls = classify_face(g, corner, a, b, assignment.convention).cls
+        cls = classify_face(g, corner, a, b, convention).cls
         na, nb = g.names[a], g.names[b]
         raise DSquaredNonzero(
             f"d^2 != 0 on class {cls} face ({corner:b}; {na}, {nb}): {val}",
             witness=(corner, na, nb, cls, val),
         )
-    return ChainComplex(generators, boundaries)
 
 
 def _unit_cancel(c: ChainComplex, modulus: int = 0):

@@ -245,3 +245,21 @@ def quotient_projection(rows, ncols):
     pi = [[s.v[j][r + a] for j in range(ncols)] for a in range(k)]
     sigma = [[s.vinv[r + a][j] for a in range(k)] for j in range(ncols)]
     return k, pi, sigma
+
+
+def grading_i(g, s):
+    """Cube height of state s by its per-vertex definition: each
+    negative vertex inside s and each positive vertex outside it counts
+    one arrow taken from the bottom of the cube."""
+    total = 0
+    for v in range(g.n):
+        inside = s >> v & 1
+        total += inside if g.signs[v] == -1 else 1 - inside
+    return total
+
+
+def coordinate_is_source(g, s, v):
+    """Whether the cube arrow in coordinate v leaves state s: a positive
+    vertex leaves s, a negative vertex joins it."""
+    inside = bool(s >> v & 1)
+    return inside == (g.signs[v] == 1)

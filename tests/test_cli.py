@@ -8,6 +8,7 @@ import pytest
 
 import graphlink.cli
 import graphlink.cube
+import graphlink.homology
 from graphlink.cli import main
 from graphlink.cube import classify_face, faces, solve_edge_assignment
 from graphlink.errors import DSquaredNonzero
@@ -171,6 +172,32 @@ def test_validate_fixture(capsys):
     assert code == 0
     assert out.strip().split("\n")[-1] == (
         "negative-control SKIP (every face has zero composites)"
+    )
+
+
+def test_validate_negative_control_reuses_the_x_complex(capsys, monkeypatch):
+    calls = {"build_complex": 0, "solve_edge_assignment": 0}
+    for name in calls:
+        real = getattr(graphlink.cli, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(graphlink.cli, name, counted)
+    code, out, _ = run(capsys, "validate", fixture_path("om3"), "--negative-control")
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "negative-control PASS (d-squared break detected)"
+    assert calls == {"build_complex": 2, "solve_edge_assignment": 2}
+
+
+def test_validate_negative_control_fails_without_the_d_squared_check(capsys, monkeypatch):
+    for module in (graphlink.cli, graphlink.homology):
+        monkeypatch.setattr(module, "_check_d_squared", lambda g, c, convention: None)
+    code, out, _ = run(capsys, "validate", fixture_path("om3"), "--negative-control")
+    assert code == 1
+    assert out.strip().split("\n")[-1] == (
+        "negative-control FAIL (corrupted assignment escaped detection)"
     )
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import graphlink.homology
 from graphlink import cube
 from graphlink.cube import (
     DEFAULT_CONVENTION,
@@ -315,11 +316,18 @@ def test_class_ratio_rejects_classes_that_are_not_unit_multiples(raw):
         classify_face(g, s, i, j)
 
 
-def test_classification_builds_no_edge_maps():
+def test_classification_builds_no_edge_maps(monkeypatch):
+    def refuse(g, e):
+        raise AssertionError(f"edge map built for {e}")
+
+    monkeypatch.setattr(cube, "edge_map", refuse)
+    monkeypatch.setattr(graphlink.homology, "edge_map", refuse)
     g = fixture("THETA11")
     assert validate_cube_parity(g).ok
-    assert "face_type" in g._cache
-    assert "edge_map" not in g._cache
+    for kind in "XY":
+        solve_edge_assignment(g, kind)
+    # Every cached face shares one of the seven interned face types.
+    assert len({id(ft) for ft in g._cache["face_type"].values()}) <= 7
 
 
 def test_classify_rejects_non_faces():

@@ -1,8 +1,10 @@
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 
+from graphlink.cube import cube_edges, faces
 from graphlink.errors import (
     DuplicateEdge,
     DuplicateName,
@@ -20,6 +22,9 @@ from graphlink.graphs import (
     serialize_graph,
     state_names,
 )
+from graphlink.pu import random_pu_graph
+
+import oracle
 
 
 def random_bipartite(rng, n):
@@ -59,6 +64,23 @@ def test_grading_anchor_positive_vertex():
     assert g.grading_i(0b0) == 1
     assert g.coordinate_is_source(0b1, 0)
     assert not g.coordinate_is_source(0b0, 0)
+
+
+def test_cube_bit_formulas_match_the_per_vertex_definitions():
+    fixtures = [fixture(name) for name in FIXTURES]
+    randoms = [random_pu_graph(n, seed=seed) for n in range(2, 9) for seed in range(3)]
+    for g in fixtures + randoms:
+        leaving = {}
+        for s in g.all_states():
+            assert g.grading_i(s) == oracle.grading_i(g, s), (g.names, s)
+            leaving[s] = [v for v in range(g.n) if oracle.coordinate_is_source(g, s, v)]
+            got = [v for v in range(g.n) if g.coordinate_is_source(s, v)]
+            assert got == leaving[s], (g.names, s)
+        want = [(s, i, j) for s, vs in leaving.items() for i, j in combinations(vs, 2)]
+        assert faces(g) == want, g.names
+        if g in randoms:
+            edges = [(s, v) for s, vs in leaving.items() for v in vs]
+            assert [(e.source, e.coordinate) for e in cube_edges(g)] == edges, g.names
 
 
 def test_odd4_adjacency():

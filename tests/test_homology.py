@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import graphlink.homology
 from graphlink.cube import (
     EdgeAssignment,
     classify_face,
@@ -235,8 +236,21 @@ def test_dsquared_names_the_least_broken_face(kind):
             assert exc.value.witness[:4] == (corner, g.names[a], g.names[b], cls)
 
 
+def replace_edge_map(monkeypatch, source, coordinate, table):
+    """Make `build_complex` read ``table`` for the cube edge leaving
+    ``source`` along ``coordinate``; every other edge keeps its map."""
+    real = graphlink.homology.edge_map
+
+    def patched(g, e):
+        if (e.source, e.coordinate) == (source, coordinate):
+            return table
+        return real(g, e)
+
+    monkeypatch.setattr(graphlink.homology, "edge_map", patched)
+
+
 @pytest.mark.parametrize("kind", ["X", "Y"])
-def test_dsquared_checks_zero_face_composites(kind):
+def test_dsquared_checks_zero_face_composites(monkeypatch, kind):
     # Flat-top face (111; v1, v2): corners 111 and 001 have corank 1,
     # 101 and 011 corank 2.  Its plain edge 101 -> 001 gets a map that is
     # well graded but sends a wedge to a nonzero class, so the composite
@@ -246,16 +260,16 @@ def test_dsquared_checks_zero_face_composites(kind):
     assert [g.corank(s) for s in (0b111, 0b101, 0b011, 0b001)] == [1, 2, 2, 1]
     asg = solve_edge_assignment(g, kind)
     rank_t = state_module(g, 0b001).rank
-    g._cache.setdefault("edge_map", {})[(0b101, 2)] = [
+    replace_edge_map(monkeypatch, 0b101, 2, [
         {(1 << t.bit_count()) - 1: 1} if t.bit_count() <= rank_t else {}
         for t in range(1 << state_module(g, 0b101).rank)
-    ]
+    ])
     with pytest.raises(DSquaredNonzero) as exc:
         build_complex(g, asg)
     assert_witness_on_edge(g, exc.value.witness, 0b101, 2, asg.convention)
 
 
-def test_build_complex_rejects_a_misgraded_edge_map():
+def test_build_complex_rejects_a_misgraded_edge_map(monkeypatch):
     # A wedge edge sends the empty wedge to the class w, of degree 1;
     # sending it to the empty wedge instead keeps the cube height step
     # but moves the entry two quantum degrees up.
@@ -264,12 +278,19 @@ def test_build_complex_rejects_a_misgraded_edge_map():
     e = next(e for e in cube_edges(g) if e.kind == "Wedge")
     table = list(edge_map(g, e))
     table[0] = {0: 1}
-    g._cache["edge_map"][(e.source, e.coordinate)] = table
+    replace_edge_map(monkeypatch, e.source, e.coordinate, table)
     i = g.grading_i(e.source)
     q = g.corank(e.source) + i
     with pytest.raises(InternalInvariantError) as exc:
         build_complex(g, asg)
     assert str(exc.value) == f"boundary entry moves ({i},{q}) to ({i + 1},{q + 2})"
+
+
+def test_khovanov_keeps_no_edge_maps():
+    g = fixture("THETA11")
+    khovanov(g)
+    assert "edge_map" not in g._cache
+    assert {"state_module", "face_type"} <= set(g._cache)
 
 
 def test_kind_independence_exact():
