@@ -36,7 +36,6 @@ from .errors import (
 from .graphs import LabeledGraph, load_graph, parse_unoriented, serialize_graph
 from .homology import (
     ChainComplex,
-    _check_d_squared,
     align_and_compare,
     build_complex,
     euler,
@@ -44,6 +43,7 @@ from .homology import (
     format_table,
     integer_homology,
     khovanov,
+    resign,
     uct_check,
 )
 from .moves import apply_script, parse_script
@@ -208,7 +208,12 @@ def _battery(g: LabeledGraph, convention: str):
             asg = solved.get(kind) or solve_edge_assignment(g, kind, convention)
             if isinstance(asg, AssignmentInfeasible):
                 raise asg
-            built[kind] = build_complex(g, asg)
+            if kind == "Y" and "X" in built:
+                # One build per graph: Y is X re-signed where the solves differ.
+                flips = {e for e, v in asg.signs.items() if solved["X"].sign(*e) != v}
+                built[kind] = resign(g, built["X"], flips, convention)
+            else:
+                built[kind] = build_complex(g, asg)
 
         return fn
 
@@ -238,25 +243,15 @@ def _battery(g: LabeledGraph, convention: str):
 
 
 def _negative_control(g: LabeledGraph, c: ChainComplex | None, convention: str):
-    """Corrupt the sign of edge s -> s ^ e_i of the first A or C face
-    (s; i, j) in a copy of the kind X complex ``c``: negate the entries
-    with column generator at s and row generator at s ^ e_i.  Expect
-    `_check_d_squared` to fire.  ``c`` is None when no X complex was built."""
+    """Re-sign edge (s, i) of the first A or C face (s; i, j) in the kind X
+    complex ``c`` (None when unbuilt); `resign`'s d^2 check must fire."""
     if c is None:
         return "SKIP", "no type X assignment"
     for s, i, j in faces(g):
         if classify_face(g, s, i, j, convention).cls not in ("A", "C"):
             continue
-        t = s ^ (1 << i)
-        bad = {}
-        for (h, q), block in c.boundaries.items():
-            cols, rows = c.generators[(h, q)], c.generators[(h + 1, q)]
-            bad[(h, q)] = {
-                r: {a: -v if cols[a][0] == s and rows[r][0] == t else v for a, v in row.items()}
-                for r, row in block.items()
-            }
         try:
-            _check_d_squared(g, ChainComplex(c.generators, bad), convention)
+            resign(g, c, {(s, i)}, convention)
         except DSquaredNonzero:
             return "PASS", "d-squared break detected"
         return "FAIL", "corrupted assignment escaped detection"

@@ -86,32 +86,12 @@ class StateModule:
     ``classes`` gives the class of each x_j as (1 << a, value) pairs by
     its nonzeros, the part-0 summand's basis first; ``section_columns``
     gives a representative of each basis element as (j, value) pairs.
-    ``projection`` (rank x n) and ``section`` (n x rank) are the same two
-    matrices written out dense, with projection @ section = identity.
     """
 
     state: int
     rank: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
     section_columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    def class_of(self, j: int) -> tuple[int, ...]:
-        out = [0] * self.rank
-        for bit, v in self.classes[j]:
-            out[bit.bit_length() - 1] = v
-        return tuple(out)
-
-    @property
-    def projection(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*(self.class_of(j) for j in range(len(self.classes)))))
-
-    @property
-    def section(self) -> tuple[tuple[int, ...], ...]:
-        rows = [[0] * self.rank for _ in self.classes]
-        for b, column in enumerate(self.section_columns):
-            for j, v in column:
-                rows[j][b] = v
-        return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ __all__ = [
     "BigradedGroups",
     "Comparison",
     "build_complex",
+    "resign",
     "integer_homology",
     "f2_homology",
     "euler",
@@ -146,9 +147,30 @@ def build_complex(g: LabeledGraph, assignment: EdgeAssignment) -> ChainComplex:
     return c
 
 
+def resign(g: LabeledGraph, c: ChainComplex, edges, convention: str) -> ChainComplex:
+    """Copy ``c`` with the entries on ``edges`` negated, then `_check_d_squared`.
+
+    ``edges`` are cube edges keyed as in `EdgeAssignment.signs`.  The
+    build under assignment b is the build under a re-signed on the edges
+    where a and b differ: nothing else in a build depends on signs.
+    """
+    flips = {(s, s ^ 1 << i) for s, i in edges}
+    boundaries = {}
+    for (i, q), block in c.boundaries.items():
+        cols, rows = c.generators[(i, q)], c.generators[(i + 1, q)]
+        boundaries[(i, q)] = {
+            r: {a: -v if (cols[a][0], rows[r][0]) in flips else v for a, v in row.items()}
+            for r, row in block.items()
+        }
+    c = ChainComplex(c.generators, boundaries)
+    _check_d_squared(g, c, convention)
+    return c
+
+
 def _check_d_squared(g: LabeledGraph, c: ChainComplex, convention: str) -> None:
     """Raise `DSquaredNonzero` unless d^2 = 0 on ``c``, a complex over the cube of ``g``.
 
+    `build_complex` and `resign` run it on every complex they return.
     This is the one place where the composite law of the 2-faces is
     checked; `classify_face` builds no edge map.  Nothing is lost: the
     only paths from corner s to s + e_i + e_j run around the face
@@ -157,7 +179,7 @@ def _check_d_squared(g: LabeledGraph, c: ChainComplex, convention: str) -> None:
     A or C face is exactly the anticommute or commute law.  On a
     flat-top zero face (X or Y) one kind only forces via_i = +-via_j;
     the two kinds give such a face opposite parities, so the `validate`
-    battery, which builds both X and Y, forces both composites to zero.
+    battery, which checks both X and Y, forces both composites to zero.
 
     The witness is (source corner, vertex i, vertex j, face class under
     ``convention``, value): the least broken face by (corner, i, j),
@@ -385,12 +407,14 @@ def khovanov(
     """End-to-end invariant: solve signs, build the complex, take homology.
 
     ``coefficients`` "z" gives exact integer groups; "f2" the mod-2
-    dimensions.  Deterministic for fixed inputs.
+    dimensions.  Deterministic for fixed inputs.  The graph's module and
+    face caches are dropped once built: homology reads neither.
     """
     if coefficients not in ("z", "f2"):
         raise ValueError(f"coefficients must be 'z' or 'f2', got {coefficients!r}")
-    assignment = solve_edge_assignment(g, kind, convention)
-    complex_ = build_complex(g, assignment)
+    complex_ = build_complex(g, solve_edge_assignment(g, kind, convention))
+    for name in ("state_module", "face_type"):
+        g._cache.pop(name, None)
     if coefficients == "f2":
         return f2_homology(complex_)
     return integer_homology(complex_)

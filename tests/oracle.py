@@ -4,7 +4,9 @@ Everything here is deliberately naive or delegated to sympy so that it
 shares no code with the package under test.  The one exception is the
 dense n x n state-module presentation, which reduces its relation rows
 with the package's `smith` (itself checked against sympy) so that the
-block presentation of `state_module` can be compared with it.
+block presentation of `state_module` can be compared with it, and the
+dense views of a `StateModule`, which only write its sparse classes and
+section out as matrices.
 """
 
 from __future__ import annotations
@@ -263,3 +265,26 @@ def coordinate_is_source(g, s, v):
     vertex leaves s, a negative vertex joins it."""
     inside = bool(s >> v & 1)
     return inside == (g.signs[v] == 1)
+
+
+def class_of(sm, j):
+    """The class of x_j in V(s) as a dense vector of length rank."""
+    out = [0] * sm.rank
+    for bit, v in sm.classes[j]:
+        out[bit.bit_length() - 1] = v
+    return tuple(out)
+
+
+def projection(sm):
+    """The rank x n matrix whose column j is the class of x_j."""
+    return tuple(zip(*(class_of(sm, j) for j in range(len(sm.classes)))))
+
+
+def section(sm):
+    """The n x rank matrix whose column b represents basis element b;
+    projection(sm) @ section(sm) = I."""
+    rows = [[0] * sm.rank for _ in sm.classes]
+    for b, column in enumerate(sm.section_columns):
+        for j, v in column:
+            rows[j][b] = v
+    return tuple(map(tuple, rows))

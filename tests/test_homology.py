@@ -10,6 +10,7 @@ import pytest
 
 import graphlink.homology
 from graphlink.cube import (
+    CONVENTIONS,
     EdgeAssignment,
     classify_face,
     cube_edges,
@@ -18,8 +19,13 @@ from graphlink.cube import (
     solve_edge_assignment,
     state_module,
 )
-from graphlink.errors import DSquaredNonzero, InternalInvariantError
-from graphlink.fixtures import fixture
+from graphlink.errors import (
+    AssignmentInfeasible,
+    DSquaredNonzero,
+    InternalInvariantError,
+    LemmaViolation,
+)
+from graphlink.fixtures import FIXTURES, fixture
 from graphlink.graphs import build_graph
 from graphlink.homology import (
     align_and_compare,
@@ -29,6 +35,7 @@ from graphlink.homology import (
     format_table,
     integer_homology,
     khovanov,
+    resign,
     uct_check,
     BigradedGroups,
     ChainComplex,
@@ -236,6 +243,53 @@ def test_dsquared_names_the_least_broken_face(kind):
             assert exc.value.witness[:4] == (corner, g.names[a], g.names[b], cls)
 
 
+def solved_pairs(graphs):
+    """(g, X assignment, Y assignment) wherever both solves succeed."""
+    for g in graphs:
+        for convention in CONVENTIONS:
+            try:
+                x, y = (solve_edge_assignment(g, kind, convention) for kind in "XY")
+            except (AssignmentInfeasible, LemmaViolation):  # ODD4 is not PU
+                continue
+            yield g, x, y
+
+
+def flips(a, b):
+    return {e for e, v in a.signs.items() if b.signs[e] != v}
+
+
+def test_resigned_x_complex_is_the_y_build():
+    graphs = [fixture(name) for name in FIXTURES]
+    graphs += [random_pu_graph(n, seed=seed) for n in range(2, 9) for seed in range(3)]
+    compared = 0
+    for g, x, y in solved_pairs(graphs):
+        cy = resign(g, build_complex(g, x), flips(x, y), x.convention)
+        built = build_complex(g, y)
+        assert cy.generators == built.generators
+        assert list(cy.boundaries.items()) == list(built.boundaries.items())
+        compared += 1
+    assert compared > len(graphs)
+
+
+def test_resign_without_one_flip_fails_like_the_y_build():
+    # Leaving edge e out of the X -> Y flips is the Y assignment with e's
+    # sign flipped; re-signing must raise exactly as building it does.
+    graphs = [fixture("EVEN4"), fixture("OM3")]
+    graphs += [random_pu_graph(5, seed=seed) for seed in range(3)]
+    checked = 0
+    for g, x, y in solved_pairs(graphs):
+        cx, todo = build_complex(g, x), flips(x, y)
+        for e in sorted(todo):
+            bad = EdgeAssignment(y.kind, y.convention, {**y.signs, e: -y.signs[e]})
+            with pytest.raises(DSquaredNonzero) as want:
+                build_complex(g, bad)
+            with pytest.raises(DSquaredNonzero) as got:
+                resign(g, cx, todo - {e}, x.convention)
+            assert (got.value.witness, str(got.value)) == (want.value.witness, str(want.value))
+            checked += 1
+    assert checked
+
+
 def replace_edge_map(monkeypatch, source, coordinate, table):
     """Make `build_complex` read ``table`` for the cube edge leaving
     ``source`` along ``coordinate``; every other edge keeps its map."""
@@ -287,10 +341,10 @@ def test_build_complex_rejects_a_misgraded_edge_map(monkeypatch):
 
 
 def test_khovanov_keeps_no_edge_maps():
+    # Only the corank cache outlives khovanov: homology reads no other.
     g = fixture("THETA11")
     khovanov(g)
-    assert "edge_map" not in g._cache
-    assert {"state_module", "face_type"} <= set(g._cache)
+    assert set(g._cache) == {"corank"}
 
 
 def test_kind_independence_exact():
